@@ -39,12 +39,10 @@ from .initial_data import (
 )
 from .nonlinearity import (
     Nonlinearity,
-    RootSet,
     TruncatedNonlinearity,
     build_truncation,
     check_confining,
     cubic,
-    find_roots,
     from_coefficients,
     lambda_bound,
     linear,

@@ -86,15 +86,6 @@ def _band_antiderivative() -> CubicSpline:
     return CubicSpline(knots, cum)
 
 
-def chi_integral(a: float) -> float:
-    """Antiderivative int_0^a chi(s) ds, exact off the transition band."""
-    if a <= R_INNER:
-        return a
-    if a >= R_OUTER:
-        return CHI_INTEGRAL_FULL
-    return 1.0 + float(_band_antiderivative()(a))
-
-
 def chi_arr(r: np.ndarray) -> np.ndarray:
     """Vectorized cutoff, matching chi() bit for bit on the plateaus."""
     r = np.asarray(r, dtype=float)
@@ -124,7 +115,8 @@ def chi_prime_arr(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def chi_integral_arr(a: np.ndarray) -> np.ndarray:
+def chi_integral(a: np.ndarray) -> np.ndarray:
+    """Antiderivative int_0^a chi(s) ds, exact off the transition band."""
     a = np.asarray(a, dtype=float)
     out = np.where(a >= R_OUTER, CHI_INTEGRAL_FULL, a)
     band = (a > R_INNER) & (a < R_OUTER)

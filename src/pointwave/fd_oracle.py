@@ -28,7 +28,8 @@ import numpy as np
 from .initial_data import FOUR_PI, InitialState
 from .nonlinearity import TruncatedNonlinearity
 from .zeta_dynamics import ZetaHistory
-from .field_assembly import psi_total, _kink_radii
+from .field_assembly import psi_total
+from .free_wave import reduction
 
 
 class OracleError(RuntimeError):
@@ -244,14 +245,14 @@ def compare(
     eligible = np.abs(rr - t) > 1e-9 * max(1.0, t)
     rr = rr[eligible]
     psi_or = u[1 : j_max + 1][eligible] / rr
-    psi_sa = np.array([psi_total(state, history, x, t).psi for x in rr])
+    psi_sa = psi_total(state, history, rr, t).psi
     w = rr * rr
     num = float(np.sum(w * (psi_sa - psi_or) ** 2))
     den = float(np.sum(w * psi_sa**2))
     rel = math.sqrt(num / den) if den > 0.0 else math.sqrt(num)
 
     mask = np.ones(len(rr), dtype=bool)
-    for kr in _kink_radii(state, t, R + 1.0) | {t}:
+    for kr in reduction(state).kink_radii(t, 0.0, R + 1.0) | {t}:
         mask &= np.abs(rr - kr) >= 5.0 * h
     num_x = float(np.sum(w[mask] * (psi_sa - psi_or)[mask] ** 2))
     den_x = float(np.sum(w[mask] * psi_sa[mask] ** 2))

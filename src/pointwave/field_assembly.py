@@ -9,6 +9,15 @@ and its point-regularized part psi_reg = psi - zeta(t) G satisfies the origin
 identity psi_reg(0, t) = F(zeta(t)) = lambda(t) - zeta'(t) / 4 pi, which
 regular_trace verifies numerically by Richardson extrapolation in r.
 
+_assemble is the one place the two parts are added, on an array of radii:
+psi_f and its derivatives come from dispersive_batch, the retarded term
+psi_S from psi_singular, and
+
+    d_r psi_reg = d_r psi_f - psi_S_dot - psi_S / r + zeta(t) / (4 pi r^2),
+
+which holds on both sides of the cone (psi_S = 0 outside it).  psi_total,
+energy and distance_to_stationary all read the field through it.
+
 Energy quadratures integrate 4 pi r^2 (psi_dot^2 + (d_r psi_reg)^2) / 2 over
 a ball that contains the light cone of the data support; outside that ball
 the field is the static Coulomb tail, whose gradient integral is added in
@@ -23,10 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .free_wave import dispersive_batch, dispersive_eval, dispersive_r_derivative, reduction
+# dispersive_eval stays bound because perfbench/tracer.py wraps it by this name
+from .free_wave import check_domain, dispersive_batch, dispersive_eval, reduction  # noqa: F401
 from .initial_data import FOUR_PI, InitialState
 from .quadrature import integrate_panels, split_points
-from .zeta_dynamics import ZetaHistory, zeta_at, zeta_at_arr
+from .zeta_dynamics import ZetaHistory, zeta_at
 
 
 class HistoryHorizonError(ValueError):
@@ -42,15 +52,17 @@ def green(r: float) -> float:
 
 @dataclass(frozen=True)
 class FieldSample:
-    r: float
+    """Field at radii r and time t: numbers for a number r, else arrays shaped like r."""
+
+    r: np.ndarray
     t: float
-    psi: float
-    psi_dot: float
-    psi_f: float
-    psi_f_dot: float
-    psi_S: float
-    psi_S_dot: float
-    psi_reg: float
+    psi: np.ndarray
+    psi_dot: np.ndarray
+    psi_f: np.ndarray
+    psi_f_dot: np.ndarray
+    psi_S: np.ndarray
+    psi_S_dot: np.ndarray
+    psi_reg: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -73,33 +85,47 @@ def _zeta_pair(state: InitialState, history: ZetaHistory | None, t: float) -> tu
     return zeta_at(history, t)
 
 
-def psi_singular(history: ZetaHistory | None, r: float, t: float) -> tuple[float, float]:
-    """Retarded spherical wave (psi_S, psi_S_dot); identically zero for t < r."""
-    if r <= 0.0:
+def psi_singular(history: ZetaHistory | None, r: np.ndarray, t: float) -> tuple:
+    """Retarded spherical wave (psi_S, psi_S_dot) at radii r > 0; exactly zero where t < r."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
         raise ValueError("psi_singular requires r > 0")
-    if t < r:
-        return 0.0, 0.0
-    s = t - r
-    if history is None or s > history.horizon:
+    retarded = t >= r
+    if not retarded.any():
+        zero = np.zeros_like(r)[()]
+        return zero, zero
+    s = np.where(retarded, t - r, 0.0)
+    if history is None or s.max() > history.horizon:
         raise HistoryHorizonError(
-            f"retarded time {s} beyond trajectory horizon"
+            f"retarded time {s.max()} beyond trajectory horizon"
             + (f" {history.horizon}" if history is not None else " (no history)")
         )
     z, zd = zeta_at(history, s)
     g = 1.0 / (FOUR_PI * r)
-    return z * g, zd * g
+    return np.where(retarded, z * g, 0.0)[()], np.where(retarded, zd * g, 0.0)[()]
+
+
+def _assemble(
+    state: InitialState, history: ZetaHistory | None, r: np.ndarray, t: float
+) -> tuple:
+    """(psi_f, psi_f_dot, psi_S, psi_S_dot, d_r psi_reg, zeta(t), zeta'(t)) at radii r > 0."""
+    z_now, zd_now = _zeta_pair(state, history, t)
+    ps, psd = psi_singular(history, r, t)
+    pf, pfd, dpf = dispersive_batch(state, r, t)
+    dreg = dpf - psd + (z_now / (FOUR_PI * r) - ps) / r
+    return pf, pfd, ps, psd, dreg, z_now, zd_now
 
 
 def psi_total(
-    state: InitialState, history: ZetaHistory | None, r: float, t: float
+    state: InitialState, history: ZetaHistory | None, r: np.ndarray, t: float
 ) -> FieldSample:
-    """Assembled field sample with its dispersive/singular/regular breakdown."""
-    pf, pfd = dispersive_eval(state, r, t)
-    ps, psd = psi_singular(history, r, t) if t >= r else (0.0, 0.0)
-    z, _ = _zeta_pair(state, history, t)
+    """Assembled field at radii r with its dispersive/singular/regular breakdown."""
+    check_domain(state, r, t)
+    r = np.asarray(r, dtype=float)
+    pf, pfd, ps, psd, _, z, _ = _assemble(state, history, r, t)
     psi = pf + ps
     return FieldSample(
-        r=r,
+        r=r[()],
         t=t,
         psi=psi,
         psi_dot=pfd + psd,
@@ -109,30 +135,6 @@ def psi_total(
         psi_S_dot=psd,
         psi_reg=psi - z / (FOUR_PI * r),
     )
-
-
-def _regular_r_derivative(
-    state: InitialState, history: ZetaHistory | None, r: float, t: float, z_now: float
-) -> float:
-    """d/dr of psi_reg = psi_f + theta (zeta(t-r) - zeta(t)) / (4 pi r)."""
-    d = dispersive_r_derivative(state, r, t)
-    if t >= r:
-        z_ret, zd_ret = (
-            zeta_at(history, t - r) if history is not None else (state.zeta0, state.zeta_dot0)
-        )
-        d += (-zd_ret * r - z_ret + z_now) / (FOUR_PI * r * r)
-    else:
-        d += z_now / (FOUR_PI * r * r)
-    return d
-
-
-def _kink_radii(state: InitialState, t: float, r_max: float) -> set[float]:
-    out: set[float] = set()
-    for k in reduction(state).kinks:
-        for cand in (t - k, t + k, k - t):
-            if 0.0 < cand < r_max:
-                out.add(cand)
-    return out
 
 
 def regular_trace(
@@ -148,9 +150,9 @@ def regular_trace(
     """
     if t <= 0.0:
         raise ValueError("regular_trace requires t > 0")
-    vals = [psi_total(state, history, r, t).psi_reg for r in radii]
+    vals = psi_total(state, history, np.asarray(radii), t).psi_reg
     vander = np.vander(np.asarray(radii), 3, increasing=True)
-    coeffs = np.linalg.solve(vander, np.asarray(vals))
+    coeffs = np.linalg.solve(vander, vals)
     return float(coeffs[0])
 
 
@@ -175,25 +177,14 @@ def energy(
         R_quad = t + r_supp + 1.0
     if R_quad < t + r_supp:
         raise ValueError(f"R_quad = {R_quad} must be at least t + support = {t + r_supp}")
-    z_now, zd_now = _zeta_pair(state, history, t)
+    z_now, _ = _zeta_pair(state, history, t)
 
     def integrand(r: np.ndarray) -> np.ndarray:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         origin = r == 0.0
         r_safe = np.where(origin, 1.0, r)
-        _, pfd, dpf = dispersive_batch(state, r_safe, t)
-        retarded = t >= r_safe
-        s_ret = np.where(retarded, t - r_safe, 0.0)
-        z_ret, zd_ret = (
-            zeta_at_arr(history, s_ret) if history is not None else
-            (np.full_like(r_safe, state.zeta0), np.full_like(r_safe, state.zeta_dot0))
-        )
-        pd = pfd + np.where(retarded, zd_ret / (FOUR_PI * r_safe), 0.0)
-        dreg = dpf + np.where(
-            retarded,
-            (-zd_ret * r_safe - z_ret + z_now) / (FOUR_PI * r_safe * r_safe),
-            z_now / (FOUR_PI * r_safe * r_safe),
-        )
+        _, pfd, _, psd, dreg, _, zd_now = _assemble(state, history, r_safe, t)
+        pd = pfd + psd
         w = FOUR_PI * r_safe * r_safe
         kin = 0.5 * w * pd * pd
         grad = 0.5 * w * dreg * dreg
@@ -202,7 +193,7 @@ def energy(
         grad = np.where(origin, 0.0, grad)
         return np.stack([kin, grad], axis=-1)
 
-    pts = split_points(_kink_radii(state, t, R_quad), 0.0, R_quad)
+    pts = split_points(reduction(state).kink_radii(t, 0.0, R_quad), 0.0, R_quad)
     kinetic, gradient_interior = integrate_panels(integrand, pts, quad_tol)
     tail_int = (state.phi_c.tail - z_now) ** 2 / (FOUR_PI * R_quad)
     gradient = float(gradient_interior) + 0.5 * tail_int
@@ -234,20 +225,15 @@ def distance_to_stationary(
         raise ValueError("R must be positive")
     if not math.isfinite(q):
         raise ValueError("q must be finite")
-    z_now, zd_now = _zeta_pair(state, history, t)
 
     def integrand(r: np.ndarray) -> np.ndarray:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         origin = r == 0.0
         r_safe = np.where(origin, 1.0, r)
-        pf, pfd, _ = dispersive_batch(state, r_safe, t)
-        retarded = t >= r_safe
-        s_ret = np.where(retarded, t - r_safe, 0.0)
-        z_ret, zd_ret = zeta_at_arr(history, s_ret)
-        g = 1.0 / (FOUR_PI * r_safe)
-        psi = pf + np.where(retarded, z_ret * g, 0.0)
-        psi_dot = pfd + np.where(retarded, zd_ret * g, 0.0)
-        diff = psi - q * g
+        pf, pfd, ps, psd, _, z_now, zd_now = _assemble(state, history, r_safe, t)
+        psi = pf + ps
+        psi_dot = pfd + psd
+        diff = psi - q / (FOUR_PI * r_safe)
         w = FOUR_PI * r_safe * r_safe
         pos = w * diff * diff
         vel = w * psi_dot * psi_dot
@@ -256,6 +242,6 @@ def distance_to_stationary(
         vel = np.where(origin, zd_now * zd_now / FOUR_PI, vel)
         return np.stack([pos, vel], axis=-1)
 
-    pts = split_points(_kink_radii(state, t, R), 0.0, R)
+    pts = split_points(reduction(state).kink_radii(t, 0.0, R), 0.0, R)
     pos2, vel2 = integrate_panels(integrand, pts, quad_tol)
     return math.sqrt(max(float(pos2), 0.0)), math.sqrt(max(float(vel2), 0.0))

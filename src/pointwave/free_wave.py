@@ -9,10 +9,14 @@ value), so evaluation is closed form everywhere off the light cone:
     psi_f(r, t) = [u0(r+t) + u0(r-t) + V(r+t) - V(r-t)] / (2 r)
 
 with u0 the odd extension of s * psi0(|s|) and V the even antiderivative of
-the odd extension of s * pi0(|s|).  The origin trace lambda(t), the source of
-the reduced oscillator equation, is assembled analytically (the 1/t
-cancellation pair is removed by hand), as is the cutoff-singular component
-used for the sharp-support check.
+the odd extension of s * pi0(|s|).  dispersive_batch is the one evaluator of
+this formula, on arrays: it returns psi_f, its time derivative and its radial
+derivative.  dispersive_eval is its validating view for points, psi_G_eval
+the same formula on the bare cutoff-singular data (the sharp-support check),
+and local_seminorm differentiates it by stencils.  The origin trace lambda(t),
+the source of the reduced oscillator equation, is assembled analytically (the
+1/t cancellation pair is removed by hand) in scalar form: the ODE loop calls
+it once per stage, where an array call would cost far more than the formula.
 """
 
 from __future__ import annotations
@@ -23,16 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutoff import (
-    R_OUTER,
-    chi,
-    chi_arr,
-    chi_integral,
-    chi_integral_arr,
-    chi_prime,
-    chi_prime_arr,
-)
-from .initial_data import FOUR_PI, InitialState
+from .cutoff import R_OUTER, chi, chi_arr, chi_integral, chi_prime, chi_prime_arr
+from .initial_data import FOUR_PI, ZERO_PROFILE, InitialState
 from .quadrature import integrate_panels, split_points
 
 
@@ -40,20 +36,13 @@ class OnConeWarning(UserWarning):
     """Evaluation exactly on the jump cone t = r; one-sided average returned."""
 
 
-def _sign(s: float) -> float:
-    # sign(0) = 0 makes the on-cone value the average of the one-sided limits
-    if s > 0.0:
-        return 1.0
-    if s < 0.0:
-        return -1.0
-    return 0.0
-
-
 @dataclass(eq=False)
 class OddReduction:
     """Reduced 1D data for one state: u0, its derivative, v0 and V = int v0.
 
-    Built once per state and then shared read-only; all evaluations are pure.
+    Built once per state and then shared read-only; all evaluations are pure
+    and take scalars or arrays of s.  sign(0) = 0 makes the value on the
+    jump cone the average of the one-sided limits.
     """
 
     zeta0: float
@@ -74,41 +63,20 @@ class OddReduction:
             self.pi_bump.support_radius,
         )
 
+    def kink_radii(self, t: float, lo: float, hi: float) -> set[float]:
+        """Radii in (lo, hi) where the field at time t is not smooth: the cones of the kinks."""
+        return {c for k in self.kinks for c in (t - k, t + k, k - t) if lo < c < hi}
+
     @property
     def support_time(self) -> float:
         return max(R_OUTER, self.phi_bump.support_radius, self.pi_bump.support_radius)
 
-    def u0(self, s: float) -> float:
-        a = abs(s)
-        coeff = self.alpha_phi + (self.zeta0 - self.alpha_phi) * chi(a)
-        return _sign(s) * coeff / FOUR_PI + s * self.phi_bump.value(a)
-
-    def u0_prime(self, s: float) -> float:
-        a = abs(s)
-        return (
-            (self.zeta0 - self.alpha_phi) * chi_prime(a) / FOUR_PI
-            + self.phi_bump.value(a)
-            + a * self.phi_bump.d1(a)
-        )
-
-    def v0(self, s: float) -> float:
-        a = abs(s)
-        coeff = self.alpha_pi + (self.zeta_dot0 - self.alpha_pi) * chi(a)
-        return _sign(s) * coeff / FOUR_PI + s * self.pi_bump.value(a)
-
-    def V(self, s: float) -> float:
-        a = abs(s)
-        return (
-            self.alpha_pi * a + (self.zeta_dot0 - self.alpha_pi) * chi_integral(a)
-        ) / FOUR_PI + self.pi_bump.integral_r(a)
-
-    # vectorized twins of the four evaluators, used by the quadratures
-    def u0_arr(self, s: np.ndarray) -> np.ndarray:
+    def u0(self, s: np.ndarray) -> np.ndarray:
         a = np.abs(s)
         coeff = self.alpha_phi + (self.zeta0 - self.alpha_phi) * chi_arr(a)
         return np.sign(s) * coeff / FOUR_PI + s * self.phi_bump.value_arr(a)
 
-    def u0_prime_arr(self, s: np.ndarray) -> np.ndarray:
+    def u0_prime(self, s: np.ndarray) -> np.ndarray:
         a = np.abs(s)
         return (
             (self.zeta0 - self.alpha_phi) * chi_prime_arr(a) / FOUR_PI
@@ -116,16 +84,16 @@ class OddReduction:
             + a * self.phi_bump.d1_arr(a)
         )
 
-    def v0_arr(self, s: np.ndarray) -> np.ndarray:
+    def v0(self, s: np.ndarray) -> np.ndarray:
         a = np.abs(s)
         coeff = self.alpha_pi + (self.zeta_dot0 - self.alpha_pi) * chi_arr(a)
         return np.sign(s) * coeff / FOUR_PI + s * self.pi_bump.value_arr(a)
 
-    def V_arr(self, s: np.ndarray) -> np.ndarray:
+    def V(self, s: np.ndarray) -> np.ndarray:
         a = np.abs(s)
         return (
-            self.alpha_pi * a + (self.zeta_dot0 - self.alpha_pi) * chi_integral_arr(a)
-        ) / FOUR_PI + self.pi_bump.integral_r_arr(a)
+            self.alpha_pi * a + (self.zeta_dot0 - self.alpha_pi) * chi_integral(a)
+        ) / FOUR_PI + self.pi_bump.integral_r(a)
 
 
 def reduction(state: InitialState) -> OddReduction:
@@ -142,58 +110,44 @@ def reduction(state: InitialState) -> OddReduction:
     return state._reduction
 
 
-def _warn_on_cone(red: OddReduction, r: float, t: float) -> None:
-    if t == r and (red.zeta0 != 0.0 or red.zeta_dot0 != 0.0):
+def dispersive_batch(
+    state: InitialState, r: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(psi_f, psi_f_dot, d_r psi_f) at radii r > 0 and times t, broadcast together."""
+    red = reduction(state)
+    r = np.asarray(r, dtype=float)
+    sp, sm = r + t, r - t
+    n = red.u0(sp) + red.u0(sm) + red.V(sp) - red.V(sm)
+    up_p, up_m = red.u0_prime(sp), red.u0_prime(sm)
+    v_p, v_m = red.v0(sp), red.v0(sm)
+    inv = 1.0 / (2.0 * r)
+    psi = n * inv
+    psi_dot = (up_p - up_m + v_p + v_m) * inv
+    dpsi = ((up_p + up_m + v_p - v_m) - n / r) * inv
+    return psi, psi_dot, dpsi
+
+
+def check_domain(state: InitialState, r: np.ndarray, t: float) -> None:
+    """Reject r <= 0 or t < 0; warn when a radius sits on the jump cone t = r."""
+    if np.any(np.asarray(r) <= 0.0):
+        raise ValueError("field evaluation requires r > 0 (use lambda_trace at the origin)")
+    if np.any(np.asarray(t) < 0.0):
+        raise ValueError("field evaluation requires t >= 0")
+    if (state.zeta0 != 0.0 or state.zeta_dot0 != 0.0) and np.any(np.equal(r, t)):
         warnings.warn(
-            f"evaluation exactly on the cone t = r = {r}; returning one-sided average",
+            "evaluation exactly on the cone t = r; returning one-sided average",
             OnConeWarning,
             stacklevel=3,
         )
 
 
-def dispersive_eval(state: InitialState, r: float, t: float) -> tuple[float, float]:
-    """(psi_f, d/dt psi_f) at radius r > 0, time t >= 0."""
-    if r <= 0.0:
-        raise ValueError("dispersive_eval requires r > 0 (use lambda_trace at the origin)")
-    if t < 0.0:
-        raise ValueError("dispersive_eval requires t >= 0")
-    red = reduction(state)
-    _warn_on_cone(red, r, t)
-    sp, sm = r + t, r - t
-    inv = 1.0 / (2.0 * r)
-    psi = (red.u0(sp) + red.u0(sm) + red.V(sp) - red.V(sm)) * inv
-    psi_dot = (red.u0_prime(sp) - red.u0_prime(sm) + red.v0(sp) + red.v0(sm)) * inv
+def dispersive_eval(
+    state: InitialState, r: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(psi_f, d/dt psi_f) at radius r > 0, time t >= 0 (numbers, or arrays)."""
+    check_domain(state, r, t)
+    psi, psi_dot, _ = dispersive_batch(state, r, t)
     return psi, psi_dot
-
-
-def dispersive_r_derivative(state: InitialState, r: float, t: float) -> float:
-    """Radial derivative of psi_f, closed form (off the cone)."""
-    if r <= 0.0:
-        raise ValueError("requires r > 0")
-    red = reduction(state)
-    sp, sm = r + t, r - t
-    n = red.u0(sp) + red.u0(sm) + red.V(sp) - red.V(sm)
-    dn = red.u0_prime(sp) + red.u0_prime(sm) + red.v0(sp) - red.v0(sm)
-    return (dn - n / r) / (2.0 * r)
-
-
-def dispersive_batch(
-    state: InitialState, r: np.ndarray, t: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(psi_f, psi_f_dot, d_r psi_f) on an array of radii r > 0 at one time."""
-    red = reduction(state)
-    r = np.asarray(r, dtype=float)
-    sp, sm = r + t, r - t
-    u_p, u_m = red.u0_arr(sp), red.u0_arr(sm)
-    up_p, up_m = red.u0_prime_arr(sp), red.u0_prime_arr(sm)
-    v_p, v_m = red.v0_arr(sp), red.v0_arr(sm)
-    V_p, V_m = red.V_arr(sp), red.V_arr(sm)
-    inv = 1.0 / (2.0 * r)
-    n = u_p + u_m + V_p - V_m
-    psi = n * inv
-    psi_dot = (up_p - up_m + v_p + v_m) * inv
-    dpsi = ((up_p + up_m + v_p - v_m) - n / r) * inv
-    return psi, psi_dot, dpsi
 
 
 def lambda_at(state: InitialState, t: float) -> float:
@@ -233,22 +187,14 @@ def lambda_trace(state: InitialState, t: float) -> float:
     return lambda_at(state, t)
 
 
-def psi_G_eval(state: InitialState, r: float, t: float) -> float:
+def psi_G_eval(state: InitialState, r: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Free evolution of the cutoff-singular data part alone.
 
     Initial data (zeta0 chi G, zeta_dot0 chi G); compactly supported, so the
     result vanishes identically (to closed-form roundoff) for t >= r + 2.
     """
-    if r <= 0.0:
-        raise ValueError("requires r > 0")
-    z0, zd0 = state.zeta0, state.zeta_dot0
-    sp, sm = r + t, r - t
-
-    def u0g(s: float) -> float:
-        return _sign(s) * z0 * chi(abs(s)) / FOUR_PI
-
-    vg = zd0 * (chi_integral(abs(sp)) - chi_integral(abs(sm))) / FOUR_PI
-    return (u0g(sp) + u0g(sm) + vg) / (2.0 * r)
+    bare = InitialState(ZERO_PROFILE, ZERO_PROFILE, state.zeta0, state.zeta_dot0, state.nl)
+    return dispersive_eval(bare, r, t)[0]
 
 
 def local_seminorm(state: InitialState, t: float, R: float, h_fd: float = 1e-3) -> float:
@@ -262,39 +208,26 @@ def local_seminorm(state: InitialState, t: float, R: float, h_fd: float = 1e-3) 
     """
     if R <= 0.0 or h_fd <= 0.0:
         raise ValueError("R and h_fd must be positive")
-    red = reduction(state)
     eps = 3.0 * h_fd
     if R <= eps:
         raise ValueError("R too small for the stencil width")
+    offsets = h_fd * np.arange(-2.0, 3.0)[:, None]
 
-    def stencil(f, r: float) -> tuple[float, float, float]:
-        fm2, fm1, f0, fp1, fp2 = (
-            f(r - 2 * h_fd),
-            f(r - h_fd),
-            f(r),
-            f(r + h_fd),
-            f(r + 2 * h_fd),
-        )
+    def stencil(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        fm2, fm1, f0, fp1, fp2 = f
         d1 = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h_fd)
         d2 = (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h_fd**2)
         return f0, d1, d2
 
-    def integrand(r_arr: np.ndarray) -> np.ndarray:
-        out = []
-        for r in np.atleast_1d(r_arr):
-            r = float(r)
-            psi, d1, d2 = stencil(lambda x: dispersive_eval(state, x, t)[0], r)
-            lap = d2 + 2.0 * d1 / r
-            psid, dd1, _ = stencil(lambda x: dispersive_eval(state, x, t)[1], r)
-            out.append(FOUR_PI * r * r * (psi**2 + d1**2 + lap**2 + psid**2 + dd1**2))
-        return np.array(out)
+    def integrand(r: np.ndarray) -> np.ndarray:
+        r = np.atleast_1d(r)
+        psi_rows, psid_rows = dispersive_eval(state, r + offsets, t)
+        psi, d1, d2 = stencil(psi_rows)
+        psid, dd1, _ = stencil(psid_rows)
+        lap = d2 + 2.0 * d1 / r
+        return FOUR_PI * r * r * (psi**2 + d1**2 + lap**2 + psid**2 + dd1**2)
 
-    kink_radii = set()
-    for k in red.kinks:
-        for cand in (t - k, t + k, k - t):
-            if eps < cand < R:
-                kink_radii.add(cand)
-    pts = split_points(kink_radii, eps, R)
+    pts = split_points(reduction(state).kink_radii(t, eps, R), eps, R)
     gap = 2.5 * h_fd
     total = 0.0
     for a, b in zip(pts[:-1], pts[1:]):

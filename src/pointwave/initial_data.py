@@ -67,14 +67,6 @@ class PolynomialBump:
             + 24.0 * self.amplitude * r * r * (1.0 - s) / rho**4
         )
 
-    def integral_r(self, a: float) -> float:
-        """int_0^a s * bump(s) ds, closed form."""
-        rho = self.support_radius
-        cap = self.amplitude * rho * rho / 8.0
-        if a >= rho:
-            return cap
-        return cap * (1.0 - (1.0 - (a / rho) ** 2) ** 4)
-
     def value_arr(self, r: np.ndarray) -> np.ndarray:
         rho = self.support_radius
         s = np.minimum(r / rho, 1.0) ** 2
@@ -86,7 +78,8 @@ class PolynomialBump:
         s = np.where(inside, r / rho, 1.0) ** 2
         return np.where(inside, -6.0 * self.amplitude * r * (1.0 - s) ** 2 / rho**2, 0.0)
 
-    def integral_r_arr(self, a: np.ndarray) -> np.ndarray:
+    def integral_r(self, a: np.ndarray) -> np.ndarray:
+        """int_0^a s * bump(s) ds, closed form."""
         rho = self.support_radius
         cap = self.amplitude * rho * rho / 8.0
         s = np.minimum(a / rho, 1.0) ** 2
@@ -144,29 +137,17 @@ class SplineBump:
             return 0.0
         return float(self._spline(r, 2))
 
-    def integral_r(self, a: float) -> float:
-        # int_0^a s p(s) ds, exact per spline piece (quartic in the local variable)
-        a = min(a, self.support_radius)
-        xs = self._spline.x
-        cs = self._spline.c
-        total = 0.0
-        for i in range(len(xs) - 1):
-            left = xs[i]
-            right = min(xs[i + 1], a)
-            if right <= left:
-                break
-            u = right - left
-            c3, c2, c1, c0 = (cs[j, i] for j in range(4))
-            # s p = (u + left) p(u): quartic coefficients in u
-            q = (c3, c2 + left * c3, c1 + left * c2, c0 + left * c1, left * c0)
-            total += (
-                q[0] * u**5 / 5.0
-                + q[1] * u**4 / 4.0
-                + q[2] * u**3 / 3.0
-                + q[3] * u**2 / 2.0
-                + q[4] * u
-            )
-        return total
+    def _piece_integral(self, i: np.ndarray, u: np.ndarray) -> np.ndarray:
+        # int of s p(s) over [x_i, x_i + u]; s p = (u + x_i) p(u) is quartic in u
+        left = self._spline.x[i]
+        c3, c2, c1, c0 = self._spline.c[:, i]
+        return (
+            c3 * u**5 / 5.0
+            + (c2 + left * c3) * u**4 / 4.0
+            + (c1 + left * c2) * u**3 / 3.0
+            + (c0 + left * c1) * u**2 / 2.0
+            + left * c0 * u
+        )
 
     def value_arr(self, r: np.ndarray) -> np.ndarray:
         inside = r < self.support_radius
@@ -176,8 +157,14 @@ class SplineBump:
         inside = r < self.support_radius
         return np.where(inside, self._spline(np.minimum(r, self.support_radius), 1), 0.0)
 
-    def integral_r_arr(self, a: np.ndarray) -> np.ndarray:
-        return np.vectorize(self.integral_r, otypes=[float])(a)
+    def integral_r(self, a: np.ndarray) -> np.ndarray:
+        """int_0^a s * bump(s) ds: whole spline pieces by prefix sum, then the partial one."""
+        xs = self._spline.x
+        n = len(xs) - 1
+        before = np.concatenate(([0.0], np.cumsum(self._piece_integral(np.arange(n), np.diff(xs)))))
+        a = np.minimum(np.asarray(a, dtype=float), xs[-1])
+        i = np.clip(np.searchsorted(xs, a, side="right") - 1, 0, n - 1)
+        return np.where(a > 0.0, before[i] + self._piece_integral(i, a - xs[i]), 0.0)
 
 
 @dataclass(frozen=True)
@@ -199,23 +186,25 @@ class CallableBump:
     def d2(self, r: float) -> float:
         return self.d2_fn(r) if r < self.support_radius else 0.0
 
-    def integral_r(self, a: float) -> float:
-        if self.integral_fn is not None:
-            return self.integral_fn(min(a, self.support_radius))
-        hi = min(a, self.support_radius)
-        if hi <= 0.0:
-            return 0.0
-        pts = split_points([1.0, 2.0], 0.0, hi)
-        return float(integrate_panels(lambda s: s * self.value_arr(s), pts, 1e-13))
-
     def value_arr(self, r: np.ndarray) -> np.ndarray:
         return np.vectorize(self.value, otypes=[float])(r)
 
     def d1_arr(self, r: np.ndarray) -> np.ndarray:
         return np.vectorize(self.d1, otypes=[float])(r)
 
-    def integral_r_arr(self, a: np.ndarray) -> np.ndarray:
-        return np.vectorize(self.integral_r, otypes=[float])(a)
+    def integral_r(self, a: np.ndarray) -> np.ndarray:
+        """int_0^a s * bump(s) ds, by integral_fn or else by quadrature."""
+
+        def one(x: float) -> float:
+            hi = min(x, self.support_radius)
+            if self.integral_fn is not None:
+                return self.integral_fn(hi)
+            if hi <= 0.0:
+                return 0.0
+            pts = split_points([1.0, 2.0], 0.0, hi)
+            return float(integrate_panels(lambda s: s * self.value_arr(s), pts, 1e-13))
+
+        return np.vectorize(one, otypes=[float])(a)
 
 
 ZERO_BUMP = PolynomialBump(amplitude=0.0, support_radius=1.0)

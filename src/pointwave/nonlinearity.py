@@ -1,4 +1,4 @@
-"""Oscillator nonlinearities: potential, force, roots, amplitude bound, truncation.
+"""Oscillator nonlinearities: potential, force, amplitude bound, truncation.
 
 The point oscillator is driven by a force F with potential U (F = U').  A
 confining U yields a finite amplitude bound for a given energy level, and the
@@ -9,7 +9,6 @@ reduced dynamics is well posed no matter what a trial integrator step does.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -19,18 +18,15 @@ from scipy.optimize import brentq
 
 __all__ = [
     "Nonlinearity",
-    "RootSet",
     "TruncatedNonlinearity",
     "EvaluationDomainError",
     "NonConfiningError",
     "EnergyLevelError",
-    "RootScanWarning",
     "cubic",
     "linear",
     "quintic",
     "from_coefficients",
     "make_nonlinearity",
-    "find_roots",
     "check_confining",
     "lambda_bound",
     "build_truncation",
@@ -47,10 +43,6 @@ class NonConfiningError(ValueError):
 
 class EnergyLevelError(ValueError):
     """Requested energy level lies below the sampled minimum of U."""
-
-
-class RootScanWarning(UserWarning):
-    """Root scan found no roots, or found a near-flat stretch of F."""
 
 
 @dataclass(frozen=True)
@@ -78,23 +70,6 @@ class Nonlinearity:
                 f"{self.descriptor}: non-finite value at zeta={zeta!r} (U={u!r}, F={f!r})"
             )
         return u, f
-
-
-@dataclass(frozen=True)
-class RootSet:
-    """Zeros of F found on a scan interval, with linear-stability flags."""
-
-    roots: tuple[float, ...]
-    stability: tuple[bool, ...]  # stable iff F'(root) > 0
-    bracket_tol: float
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-    def nearest(self, zeta: float) -> float:
-        if not self.roots:
-            raise ValueError("empty root set")
-        return min(self.roots, key=lambda q: abs(q - zeta))
 
 
 def cubic() -> Nonlinearity:
@@ -151,64 +126,6 @@ def make_nonlinearity(kind: str, coefficients=()) -> Nonlinearity:
         return _CATALOG[kind]()
     except KeyError:
         raise ValueError(f"unknown nonlinearity kind {kind!r}") from None
-
-
-def find_roots(
-    nl: Nonlinearity,
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    n_scan: int = 10_000,
-) -> RootSet:
-    """Locate sign-change roots of F on [lo, hi] by scan + bracketed solve.
-
-    Tangential (even multiplicity) roots between grid points are not
-    guaranteed to be found.  Warns when no root exists on the interval and
-    when F stays within tol on a stretch of the scan grid (the root set may
-    then contain an interval, which breaks the attraction hypotheses).
-    """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    grid = np.linspace(lo, hi, n_scan + 1)
-    fvals = np.array([nl.F(x) for x in grid])
-    scale = max(1.0, float(np.max(np.abs(fvals))))
-
-    roots: list[float] = []
-    for i in range(n_scan):
-        fa, fb = fvals[i], fvals[i + 1]
-        if fa == 0.0:
-            roots.append(float(grid[i]))
-        elif fa * fb < 0.0:
-            roots.append(float(brentq(nl.F, grid[i], grid[i + 1], xtol=tol)))
-    if fvals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-
-    deduped: list[float] = []
-    for r in sorted(roots):
-        if not deduped or r - deduped[-1] > 2.0 * tol:
-            deduped.append(r)
-
-    # flat-stretch heuristic for the isolated-zeros hypothesis
-    near_zero = np.abs(fvals) < tol * scale
-    run = 0
-    for flag in near_zero:
-        run = run + 1 if flag else 0
-        if run >= 3:
-            warnings.warn(
-                "F stays below tolerance on a stretch of the scan grid; "
-                "the zero set may contain an interval",
-                RootScanWarning,
-            )
-            break
-
-    if not deduped:
-        warnings.warn(
-            f"no roots of F in [{lo}, {hi}]; attraction diagnostics unavailable",
-            RootScanWarning,
-        )
-
-    stability = tuple(nl.F_prime(q) > 0.0 for q in deduped)
-    return RootSet(roots=tuple(deduped), stability=stability, bracket_tol=tol)
 
 
 def check_confining(nl: Nonlinearity, probe: float = 1e6) -> bool:

@@ -122,11 +122,8 @@ def amplitude_bound(nl: Nonlinearity, H0: float) -> float:
 
 def huygens_forbidden_max(state: InitialState, n: int = 50) -> float:
     """Max |psi_G| on an n x n grid of the sharp-support (forbidden) region."""
-    worst = 0.0
-    for r in np.linspace(0.1, 4.0, n):
-        for off in np.linspace(0.0, 6.0, n):
-            worst = max(worst, abs(psi_G_eval(state, float(r), float(r) + 2.0 + float(off))))
-    return worst
+    r, off = np.meshgrid(np.linspace(0.1, 4.0, n), np.linspace(0.0, 6.0, n), indexing="ij")
+    return float(np.max(np.abs(psi_G_eval(state, r, r + 2.0 + off))))
 
 
 def _fmt(x: float) -> str:
@@ -150,12 +147,12 @@ def _write_snapshot_csv(
     path: Path, s: Scenario, state: InitialState, history: ZetaHistory, t: float
 ) -> None:
     r_max = s.snapshot_r_max if s.snapshot_r_max is not None else t + state.support_radius + 1.0
-    rows = ["r,psi,psi_dot,psi_f,psi_S,psi_reg"]
-    for r in np.linspace(r_max / s.snapshot_points, r_max, s.snapshot_points):
-        fs = psi_total(state, history, float(r), t)
-        rows.append(
-            ",".join(_fmt(v) for v in (fs.r, fs.psi, fs.psi_dot, fs.psi_f, fs.psi_S, fs.psi_reg))
-        )
+    radii = np.linspace(r_max / s.snapshot_points, r_max, s.snapshot_points)
+    fs = psi_total(state, history, radii, t)
+    rows = ["r,psi,psi_dot,psi_f,psi_S,psi_reg"] + [
+        ",".join(_fmt(v) for v in row)
+        for row in zip(fs.r, fs.psi, fs.psi_dot, fs.psi_f, fs.psi_S, fs.psi_reg)
+    ]
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 

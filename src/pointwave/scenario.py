@@ -16,7 +16,8 @@ number.  Lists are comma-separated.  Keys and defaults:
     data.tail_phi, data.tail_pi      Coulomb tail coefficients  [0.0, 0.0]
     data.phi_file, data.pi_file      two-column (r, value) spline profiles
     ode.t_final               horizon (> 0; negative times are a CLI-level
-                              time reversal, see the README)    [50.0]
+                              time reversal, see the docstring
+                              of pointwave.cli)                 [50.0]
     ode.rel_tol, ode.abs_tol                                    [1e-11, 1e-13]
     ode.max_step              additional step cap               [inf]
     quad.tol                  quadrature tolerance              [1e-12]

@@ -4,8 +4,9 @@ Integrated with an adaptive embedded Dormand-Prince 5(4) pair whose step is
 capped by 0.1 / (1 + 4 pi L), L the Lipschitz constant of the truncated
 force; the one-dimensional equation is then unconditionally stable for the
 explicit scheme and no implicit fallback is needed.  Accepted steps store the
-exact right-hand side, giving a C1 cubic Hermite dense output for retarded
-lookups.  The a priori amplitude bound is monitored: an accepted node outside
+exact right-hand side, giving a C1 cubic Hermite dense output; zeta_at is
+its one evaluator, for one time or for the array of retarded times a field
+evaluation needs.  The a priori amplitude bound is monitored: an accepted node outside
 [-Lambda, Lambda] aborts the run (it would mean the truncated force differed
 from the true one along the trajectory).
 """
@@ -186,18 +187,18 @@ def integrate(state: InitialState, trunc: TruncatedNonlinearity, cfg: ODEConfig)
     return history
 
 
-def zeta_at(history: ZetaHistory, s: float) -> tuple[float, float]:
-    """Cubic Hermite interpolation of (zeta, zeta') at time s in [0, horizon]."""
+def zeta_at(history: ZetaHistory, s: np.ndarray) -> tuple:
+    """Cubic Hermite interpolation of (zeta, zeta') at times s in [0, horizon].
+
+    Floats for a number s, arrays of its shape for an array s.
+    """
     ts = history.times
-    if s < 0.0 or s > ts[-1]:
+    s_arr = np.asarray(s, dtype=float)
+    if s_arr.size and (s_arr.min() < 0.0 or s_arr.max() > ts[-1]):
         raise ValueError(f"time {s} outside the history horizon [0, {ts[-1]}]")
-    i = int(np.searchsorted(ts, s, side="right")) - 1
-    if i >= len(ts) - 1:
-        return float(history.values[-1]), float(history.derivs[-1])
-    if i < 0:
-        i = 0
+    i = np.clip(np.searchsorted(ts, s_arr, side="right") - 1, 0, len(ts) - 2)
     h = ts[i + 1] - ts[i]
-    x = (s - ts[i]) / h
+    x = (s_arr - ts[i]) / h
     y0, y1 = history.values[i], history.values[i + 1]
     d0, d1 = history.derivs[i], history.derivs[i + 1]
     x2 = x * x
@@ -214,34 +215,8 @@ def zeta_at(history: ZetaHistory, s: float) -> tuple[float, float]:
         + (-6 * x2 + 6 * x) * y1 / h
         + (3 * x2 - 2 * x) * d1
     )
-    return float(z), float(zd)
-
-
-def zeta_at_arr(history: ZetaHistory, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Hermite interpolation; same values as zeta_at pointwise."""
-    ts = history.times
-    s = np.asarray(s, dtype=float)
-    if s.size and (float(np.min(s)) < 0.0 or float(np.max(s)) > ts[-1]):
-        raise ValueError("times outside the history horizon")
-    i = np.clip(np.searchsorted(ts, s, side="right") - 1, 0, len(ts) - 2)
-    h = ts[i + 1] - ts[i]
-    x = (s - ts[i]) / h
-    y0, y1 = history.values[i], history.values[i + 1]
-    d0, d1 = history.derivs[i], history.derivs[i + 1]
-    x2 = x * x
-    x3 = x2 * x
-    z = (
-        (2 * x3 - 3 * x2 + 1) * y0
-        + (x3 - 2 * x2 + x) * h * d0
-        + (-2 * x3 + 3 * x2) * y1
-        + (x3 - x2) * h * d1
-    )
-    zd = (
-        (6 * x2 - 6 * x) * y0 / h
-        + (3 * x2 - 4 * x + 1) * d0
-        + (-6 * x2 + 6 * x) * y1 / h
-        + (3 * x2 - 2 * x) * d1
-    )
+    if s_arr.ndim == 0:
+        return float(z), float(zd)
     return z, zd
 
 

@@ -8,7 +8,6 @@ from pointwave.cutoff import (
     chi,
     chi_arr,
     chi_integral,
-    chi_integral_arr,
     chi_prime,
     chi_prime_arr,
     chi_second,
@@ -69,6 +68,3 @@ def test_vectorized_paths_agree():
     r = np.linspace(0.0, 2.6, 373)
     assert np.allclose(chi_arr(r), [chi(x) for x in r], rtol=0, atol=1e-15)
     assert np.allclose(chi_prime_arr(r), [chi_prime(x) for x in r], rtol=0, atol=1e-15)
-    assert np.allclose(
-        chi_integral_arr(r), [chi_integral(x) for x in r], rtol=0, atol=1e-15
-    )

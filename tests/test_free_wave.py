@@ -68,21 +68,6 @@ class TestOddReduction:
         assert tail.u0(3.0) == pytest.approx(0.7 / FOUR_PI, rel=1e-15)
         assert tail.u0(30.0) == pytest.approx(0.7 / FOUR_PI, rel=1e-15)
 
-    def test_vector_paths_agree(self):
-        state = InitialState(
-            phi_c=RadialProfile(bump=PolynomialBump(-0.375, 1.0)),
-            pi_c=RadialProfile(bump=PolynomialBump(0.2, 0.8)),
-            zeta0=0.5,
-            zeta_dot0=0.3,
-            nl=pw.cubic(),
-        )
-        red = reduction(state)
-        s = np.linspace(-3.0, 3.0, 173)
-        assert np.allclose(red.u0_arr(s), [red.u0(x) for x in s], atol=1e-16)
-        assert np.allclose(red.u0_prime_arr(s), [red.u0_prime(x) for x in s], atol=1e-16)
-        assert np.allclose(red.v0_arr(s), [red.v0(x) for x in s], atol=1e-16)
-        assert np.allclose(red.V_arr(s), [red.V(x) for x in s], atol=1e-16)
-
 
 class TestDispersiveEval:
     def test_zero_state(self):
@@ -147,13 +132,44 @@ class TestDispersiveEval:
         above = dispersive_eval(state, 0.5, 0.5 + 1e-9)[0]
         assert psi == pytest.approx(0.5 * (below + above), abs=1e-8)
 
-    def test_batch_matches_scalar(self, ref_state):
-        r = np.linspace(0.05, 6.0, 211)
-        psi, psid, dpsi = dispersive_batch(ref_state, r, 1.7)
+
+def tail_state():
+    """Coulomb tails in both components plus position and velocity bumps."""
+    return InitialState(
+        phi_c=RadialProfile(bump=PolynomialBump(-0.375, 1.3), tail=0.7),
+        pi_c=RadialProfile(bump=PolynomialBump(0.2, 0.8), tail=-0.4),
+        zeta0=0.5,
+        zeta_dot0=0.3,
+        nl=pw.cubic(),
+    )
+
+
+class TestRadialDerivative:
+    """d_r psi_f of dispersive_batch, the one radial-derivative formula."""
+
+    @pytest.mark.parametrize("which", ["ref", "tails"])
+    def test_initial_data(self, ref_state, which):
+        state = ref_state if which == "ref" else tail_state()
+        r = np.linspace(0.05, 4.0, 157)
+        psi, psi_dot, dpsi = dispersive_batch(state, r, 0.0)
+        z0 = state.zeta0
         for i, x in enumerate(r):
-            s_psi, s_psid = dispersive_eval(ref_state, float(x), 1.7)
-            assert psi[i] == pytest.approx(s_psi, abs=1e-15)
-            assert psid[i] == pytest.approx(s_psid, abs=1e-15)
+            x = float(x)
+            dpsi0 = z0 * (chi_prime(x) / x - chi(x) / x**2) / FOUR_PI + state.phi_c.d1(x)
+            assert psi[i] == pytest.approx(state.psi0(x), rel=1e-13, abs=1e-15)
+            assert psi_dot[i] == pytest.approx(state.pi0(x), rel=1e-13, abs=1e-15)
+            assert dpsi[i] == pytest.approx(dpsi0, rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("which", ["ref", "tails"])
+    def test_centred_difference(self, ref_state, which):
+        state = ref_state if which == "ref" else tail_state()
+        t, h = 1.7, 1e-5
+        r = np.linspace(0.05, 6.0, 211)
+        kinks = np.array(sorted(reduction(state).kink_radii(t, 0.0, 7.0)))
+        r = r[np.min(np.abs(r[:, None] - kinks[None, :]), axis=1) > 1e-3]
+        _, _, dpsi = dispersive_batch(state, r, t)
+        fd = (dispersive_batch(state, r + h, t)[0] - dispersive_batch(state, r - h, t)[0]) / (2 * h)
+        assert np.max(np.abs(dpsi - fd)) < 1e-8
 
 
 class TestLambdaTrace:

@@ -9,11 +9,9 @@ from pointwave.nonlinearity import (
     EvaluationDomainError,
     NonConfiningError,
     Nonlinearity,
-    RootScanWarning,
     build_truncation,
     check_confining,
     cubic,
-    find_roots,
     from_coefficients,
     lambda_bound,
     linear,
@@ -49,44 +47,6 @@ def test_catalog_lookup():
     assert make_nonlinearity("poly", [0.0, -1.0, 0.0, 1.0]).F(2.0) == pytest.approx(6.0)
     with pytest.raises(ValueError):
         make_nonlinearity("septic")
-
-
-def test_find_roots_cubic():
-    rs = find_roots(cubic(), -3.0, 3.0, tol=1e-12)
-    assert np.allclose(rs.roots, (-1.0, 0.0, 1.0), atol=1e-10)
-    assert rs.stability == (True, False, True)
-    assert rs.nearest(0.8) == pytest.approx(1.0)
-
-
-def test_find_roots_linear():
-    rs = find_roots(linear(), -1.0, 1.0)
-    assert np.allclose(rs.roots, (0.0,), atol=1e-12)
-    assert rs.stability == (True,)
-
-
-def test_find_roots_none_warns():
-    no_root = Nonlinearity(
-        U=lambda z: z**3 / 3 + z, F=lambda z: z * z + 1.0, F_prime=lambda z: 2 * z
-    )
-    with pytest.warns(RootScanWarning):
-        rs = find_roots(no_root, -3.0, 3.0)
-    assert len(rs) == 0
-
-
-def test_flat_force_warns():
-    def f(z):
-        return 0.0 if abs(z) < 0.5 else math.copysign((abs(z) - 0.5) ** 2, z)
-
-    flat = Nonlinearity(U=lambda z: 0.0, F=f, F_prime=lambda z: 0.0)
-    with pytest.warns(RootScanWarning):
-        find_roots(flat, -2.0, 2.0, tol=1e-9)
-
-
-def test_roots_sorted_and_separated():
-    rs = find_roots(quintic(), -2.0, 2.0, tol=1e-12)
-    assert list(rs.roots) == sorted(rs.roots)
-    gaps = np.diff(rs.roots)
-    assert np.all(gaps > 2 * rs.bracket_tol)
 
 
 def test_check_confining():

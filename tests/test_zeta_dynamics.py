@@ -16,7 +16,6 @@ from pointwave.zeta_dynamics import (
     rhs,
     step_cap,
     zeta_at,
-    zeta_at_arr,
 )
 
 
@@ -113,16 +112,6 @@ def test_zeta_at_constant_history():
     )
     for s in (0.0, 0.37, 1.999):
         assert zeta_at(hist, s) == (0.7, 0.0)
-
-
-def test_zeta_at_arr_matches_scalar(ref_run):
-    hist = ref_run["history"]
-    s = np.linspace(0.0, hist.horizon, 357)
-    z, zd = zeta_at_arr(hist, s)
-    for i, x in enumerate(s):
-        zs, zds = zeta_at(hist, float(x))
-        assert z[i] == pytest.approx(zs, abs=1e-15)
-        assert zd[i] == pytest.approx(zds, abs=1e-15)
 
 
 def test_monotone_trapping_between_roots(cubic_trunc):
