@@ -16,9 +16,9 @@ from .field_assembly import (
     distance_to_stationary,
     energy,
     green,
-    psi_singular,
     psi_total,
     regular_trace,
+    u_singular,
 )
 from .free_wave import (
     OnConeWarning,

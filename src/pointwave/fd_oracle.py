@@ -231,9 +231,9 @@ def compare(
 
     Returns the global figure and one excluding bands of half-width 5h around
     the kink radii (derivative kinks on the cones from the data edges degrade
-    the raw order by design, not by fault).  A grid node exactly on the light
-    cone r = t is skipped in both: the pointwise value there is a one-sided
-    convention, not part of the field.
+    the raw order by design, not by fault).  Every node r_j of the grid inside
+    B_R is compared; one exactly on the light cone r = t needs no exception,
+    because psi_total is continuous there.
     """
     if t not in oracle_run.snapshots:
         raise OracleError(f"no oracle snapshot stored at t = {t}")
@@ -242,9 +242,7 @@ def compare(
     r = oracle_run.grid.r
     j_max = min(int(round(R / h)), len(r) - 1)
     rr = r[1 : j_max + 1]
-    eligible = np.abs(rr - t) > 1e-9 * max(1.0, t)
-    rr = rr[eligible]
-    psi_or = u[1 : j_max + 1][eligible] / rr
+    psi_or = u[1 : j_max + 1] / rr
     psi_sa = psi_total(state, history, rr, t).psi
     w = rr * rr
     num = float(np.sum(w * (psi_sa - psi_or) ** 2))

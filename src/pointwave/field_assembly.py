@@ -1,28 +1,28 @@
 """Total field reconstruction, conserved energy, and distance to rest states.
 
-The total field is the dispersive component plus the retarded spherical wave
-emitted by the point amplitude,
+Everything is assembled in the reduced variable u = r psi.  The total field
+is the free (dispersive) wave plus the retarded wave emitted by the point
+amplitude, neither of which carries a 1/r in u:
 
-    psi(r, t) = psi_f(r, t) + theta(t - r) zeta(t - r) / (4 pi r),
+    u(r, t) = u_f(r, t) + theta(t - r) zeta(t - r) / 4pi,
+    d_t u_S = theta zeta'(t - r) / 4pi,   d_r u_S = -d_t u_S,
 
-and its point-regularized part psi_reg = psi - zeta(t) G satisfies the origin
-identity psi_reg(0, t) = F(zeta(t)) = lambda(t) - zeta'(t) / 4 pi, which
-regular_trace verifies numerically by Richardson extrapolation in r.
+with theta(0) = 1/2 on the cone, where the free part returns the mean of its
+one-sided limits (sign(0) = 0), so the sum is the continuous field there.
+u(0, t) = zeta(t) / 4pi, so the regularized field psi_reg = psi - zeta(t) G
+has the origin trace psi_reg(0, t) = d_r u(0, t), which equals
+F(zeta(t)) = lambda(t) - zeta'(t) / 4pi; regular_trace evaluates it exactly.
 
-_assemble is the one place the two parts are added, on an array of radii:
-psi_f and its derivatives come from dispersive_batch, the retarded term
-psi_S from psi_singular, and
+_assemble is the one place the two parts are added, on an array of radii
+r >= 0; psi_total divides by r at the end, and energy, distance_to_stationary
+and regular_trace read u directly.  The conserved energy is
 
-    d_r psi_reg = d_r psi_f - psi_S_dot - psi_S / r + zeta(t) / (4 pi r^2),
+    H = 1/2 int (psi_t^2 + |grad psi_reg|^2) + U(zeta) = 2 pi int_0^R (u_t^2 + u_r^2) dr + U(zeta),
 
-which holds on both sides of the cone (psi_S = 0 outside it).  psi_total,
-energy and distance_to_stationary all read the field through it.
-
-Energy quadratures integrate 4 pi r^2 (psi_dot^2 + (d_r psi_reg)^2) / 2 over
-a ball that contains the light cone of the data support; outside that ball
-the field is the static Coulomb tail, whose gradient integral is added in
-closed form.  All integrands are extended by their finite limits at r = 0
-(the retarded difference quotients stay bounded), so no inner cutoff is used.
+because integrating r^2 (d_r psi_reg)^2 by parts leaves u_r^2 plus a
+boundary term at R that cancels the Coulomb-tail integral outside the ball
+exactly (u_r = u_t = 0 there).  R must contain the light cone of the data
+support; no integrand needs a limit at r = 0.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ class EnergyReport:
     gradient: float
     potential: float
     total: float
-    tail_correction: float  # exterior gradient integral, folded into `gradient`
 
 
 def _zeta_pair(state: InitialState, history: ZetaHistory | None, t: float) -> tuple[float, float]:
@@ -85,75 +84,64 @@ def _zeta_pair(state: InitialState, history: ZetaHistory | None, t: float) -> tu
     return zeta_at(history, t)
 
 
-def psi_singular(history: ZetaHistory | None, r: np.ndarray, t: float) -> tuple:
-    """Retarded spherical wave (psi_S, psi_S_dot) at radii r > 0; exactly zero where t < r."""
+def u_singular(history: ZetaHistory | None, r: np.ndarray, t: float) -> tuple:
+    """Retarded wave u_S = theta(t - r) zeta(t - r) / 4pi and d_t u_S at radii r >= 0.
+
+    theta(0) = 1/2; exactly zero where t < r, where no history is needed.
+    """
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("psi_singular requires r > 0")
-    retarded = t >= r
-    if not retarded.any():
+    theta = np.heaviside(t - r, 0.5)
+    if not theta.any():
         zero = np.zeros_like(r)[()]
         return zero, zero
-    s = np.where(retarded, t - r, 0.0)
+    s = np.maximum(t - r, 0.0)
     if history is None or s.max() > history.horizon:
         raise HistoryHorizonError(
             f"retarded time {s.max()} beyond trajectory horizon"
             + (f" {history.horizon}" if history is not None else " (no history)")
         )
     z, zd = zeta_at(history, s)
-    g = 1.0 / (FOUR_PI * r)
-    return np.where(retarded, z * g, 0.0)[()], np.where(retarded, zd * g, 0.0)[()]
+    w = theta / FOUR_PI
+    # np.where keeps the zero outside the cone +0.0 whatever the sign of zeta
+    return np.where(theta > 0.0, w * z, 0.0)[()], np.where(theta > 0.0, w * zd, 0.0)[()]
 
 
-def _assemble(
-    state: InitialState, history: ZetaHistory | None, r: np.ndarray, t: float
-) -> tuple:
-    """(psi_f, psi_f_dot, psi_S, psi_S_dot, d_r psi_reg, zeta(t), zeta'(t)) at radii r > 0."""
-    z_now, zd_now = _zeta_pair(state, history, t)
-    ps, psd = psi_singular(history, r, t)
-    pf, pfd, dpf = dispersive_batch(state, r, t)
-    dreg = dpf - psd + (z_now / (FOUR_PI * r) - ps) / r
-    return pf, pfd, ps, psd, dreg, z_now, zd_now
+def _assemble(state: InitialState, history: ZetaHistory | None, r: np.ndarray, t: float) -> tuple:
+    """((u, d_t u, d_r u), (u_f, d_t u_f, u_S, d_t u_S)) at radii r >= 0."""
+    # retarded part first: the Hermite temporaries of zeta_at then peak before
+    # the free part's arrays exist (about 0.75 MiB less at 32,767 radii)
+    us, us_t = u_singular(history, r, t)
+    uf, uf_t, uf_r = dispersive_batch(state, r, t)
+    return (uf + us, uf_t + us_t, uf_r - us_t), (uf, uf_t, us, us_t)
 
 
 def psi_total(
     state: InitialState, history: ZetaHistory | None, r: np.ndarray, t: float
 ) -> FieldSample:
     """Assembled field at radii r with its dispersive/singular/regular breakdown."""
-    check_domain(state, r, t)
+    check_domain(r, t)
     r = np.asarray(r, dtype=float)
-    pf, pfd, ps, psd, _, z, _ = _assemble(state, history, r, t)
-    psi = pf + ps
+    (u, u_t, _), (uf, uf_t, us, us_t) = _assemble(state, history, r, t)
+    z, _ = _zeta_pair(state, history, t)
     return FieldSample(
         r=r[()],
         t=t,
-        psi=psi,
-        psi_dot=pfd + psd,
-        psi_f=pf,
-        psi_f_dot=pfd,
-        psi_S=ps,
-        psi_S_dot=psd,
-        psi_reg=psi - z / (FOUR_PI * r),
+        psi=u / r,
+        psi_dot=u_t / r,
+        psi_f=uf / r,
+        psi_f_dot=uf_t / r,
+        psi_S=us / r,
+        psi_S_dot=us_t / r,
+        psi_reg=(u - z / FOUR_PI) / r,
     )
 
 
-def regular_trace(
-    state: InitialState,
-    history: ZetaHistory,
-    t: float,
-    radii: tuple[float, ...] = (1e-2, 1e-3, 1e-4),
-) -> float:
-    """Origin limit of psi - zeta(t) G by second-order Richardson extrapolation.
-
-    The regularized field has the expansion A + B r + C r^2 near the origin;
-    the three sampled radii determine A.
-    """
+def regular_trace(state: InitialState, history: ZetaHistory, t: float) -> float:
+    """Origin trace of psi - zeta(t) G, which is d_r u(0, t) exactly."""
     if t <= 0.0:
         raise ValueError("regular_trace requires t > 0")
-    vals = psi_total(state, history, np.asarray(radii), t).psi_reg
-    vander = np.vander(np.asarray(radii), 3, increasing=True)
-    coeffs = np.linalg.solve(vander, vals)
-    return float(coeffs[0])
+    (_, _, u_r), _ = _assemble(state, history, np.zeros(1), t)
+    return float(u_r[0])
 
 
 def energy(
@@ -163,12 +151,11 @@ def energy(
     R_quad: float | None = None,
     quad_tol: float = 1e-12,
 ) -> EnergyReport:
-    """Conserved energy at time t: kinetic + gradient of psi_reg + U(zeta).
+    """Conserved energy at time t: 2 pi int_0^R (u_t^2 + u_r^2) dr + U(zeta(t)).
 
-    Requires R_quad >= t + support radius so that everything beyond the
-    quadrature ball is the static Coulomb tail; that exterior gradient
-    integral is exact, not approximated.  States with a velocity tail have
-    infinite kinetic energy and are rejected.
+    Requires R_quad >= t + support radius, beyond which u is the constant
+    alpha_phi / 4pi of the Coulomb tail and contributes nothing.  States with
+    a velocity tail have infinite kinetic energy and are rejected.
     """
     if state.pi_c.tail != 0.0:
         raise ValueError("kinetic energy is infinite for states with a velocity tail")
@@ -180,31 +167,18 @@ def energy(
     z_now, _ = _zeta_pair(state, history, t)
 
     def integrand(r: np.ndarray) -> np.ndarray:
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        origin = r == 0.0
-        r_safe = np.where(origin, 1.0, r)
-        _, pfd, _, psd, dreg, _, zd_now = _assemble(state, history, r_safe, t)
-        pd = pfd + psd
-        w = FOUR_PI * r_safe * r_safe
-        kin = 0.5 * w * pd * pd
-        grad = 0.5 * w * dreg * dreg
-        # finite limits at r = 0: r psi_dot -> zeta'(t)/4pi, r^2 (d_r psi_reg)^2 -> 0
-        kin = np.where(origin, zd_now * zd_now / (8.0 * math.pi), kin)
-        grad = np.where(origin, 0.0, grad)
-        return np.stack([kin, grad], axis=-1)
+        (_, u_t, u_r), _ = _assemble(state, history, r, t)
+        return 2.0 * math.pi * np.stack([u_t * u_t, u_r * u_r], axis=-1)
 
     pts = split_points(reduction(state).kink_radii(t, 0.0, R_quad), 0.0, R_quad)
-    kinetic, gradient_interior = integrate_panels(integrand, pts, quad_tol)
-    tail_int = (state.phi_c.tail - z_now) ** 2 / (FOUR_PI * R_quad)
-    gradient = float(gradient_interior) + 0.5 * tail_int
+    kinetic, gradient = (float(x) for x in integrate_panels(integrand, pts, quad_tol))
     potential = state.nl.eval(z_now)[0]
     return EnergyReport(
         t=t,
-        kinetic=float(kinetic),
+        kinetic=kinetic,
         gradient=gradient,
         potential=potential,
-        total=float(kinetic) + gradient + potential,
-        tail_correction=tail_int,
+        total=kinetic + gradient + potential,
     )
 
 
@@ -218,8 +192,8 @@ def distance_to_stationary(
 ) -> tuple[float, float]:
     """L2 distances on the ball of radius R to the rest state (q G, 0).
 
-    Returns (|psi(t) - q G|, |psi_dot(t)|); both integrands stay bounded at
-    the origin because the retarded amplitude difference is O(r) there.
+    Returns (|psi(t) - q G|, |psi_dot(t)|), whose squares are
+    4 pi int_0^R (u - q / 4pi)^2 dr and 4 pi int_0^R u_t^2 dr.
     """
     if R <= 0.0:
         raise ValueError("R must be positive")
@@ -227,20 +201,8 @@ def distance_to_stationary(
         raise ValueError("q must be finite")
 
     def integrand(r: np.ndarray) -> np.ndarray:
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        origin = r == 0.0
-        r_safe = np.where(origin, 1.0, r)
-        pf, pfd, ps, psd, _, z_now, zd_now = _assemble(state, history, r_safe, t)
-        psi = pf + ps
-        psi_dot = pfd + psd
-        diff = psi - q / (FOUR_PI * r_safe)
-        w = FOUR_PI * r_safe * r_safe
-        pos = w * diff * diff
-        vel = w * psi_dot * psi_dot
-        # limits of 4 pi r^2 (.)^2 with psi - qG ~ (zeta - q)/(4 pi r) etc.
-        pos = np.where(origin, (z_now - q) ** 2 / FOUR_PI, pos)
-        vel = np.where(origin, zd_now * zd_now / FOUR_PI, vel)
-        return np.stack([pos, vel], axis=-1)
+        (u, u_t, _), _ = _assemble(state, history, r, t)
+        return FOUR_PI * np.stack([(u - q / FOUR_PI) ** 2, u_t * u_t], axis=-1)
 
     pts = split_points(reduction(state).kink_radii(t, 0.0, R), 0.0, R)
     pos2, vel2 = integrate_panels(integrand, pts, quad_tol)

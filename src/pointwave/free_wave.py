@@ -6,17 +6,19 @@ after odd extension.  The point-singular part of the data contributes an
 exact sign-function jump to the reduced profile u0 (never a sampled grid
 value), so evaluation is closed form everywhere off the light cone:
 
-    psi_f(r, t) = [u0(r+t) + u0(r-t) + V(r+t) - V(r-t)] / (2 r)
+    u_f(r, t) = [u0(r+t) + u0(r-t) + V(r+t) - V(r-t)] / 2
 
 with u0 the odd extension of s * psi0(|s|) and V the even antiderivative of
-the odd extension of s * pi0(|s|).  dispersive_batch is the one evaluator of
-this formula, on arrays: it returns psi_f, its time derivative and its radial
-derivative.  dispersive_eval is its validating view for points, psi_G_eval
-the same formula on the bare cutoff-singular data (the sharp-support check),
-and local_seminorm differentiates it by stencils.  The origin trace lambda(t),
-the source of the reduced oscillator equation, is assembled analytically (the
-1/t cancellation pair is removed by hand) in scalar form: the ODE loop calls
-it once per stage, where an array call would cost far more than the formula.
+the odd extension of v0(s) = s * pi0(|s|).  dispersive_batch is the one
+evaluator of this formula, on arrays and at every r >= 0 (u_f(0, t) = 0 by
+oddness): it returns u_f and its time and radial derivatives, with no
+division by r.  dispersive_eval is its validating view for psi_f = u_f / r,
+psi_G_eval the same formula on the bare cutoff-singular data (the
+sharp-support check), and local_seminorm differentiates psi_f by stencils.
+The origin trace lambda(t) = d_r u_f(0, t), the source of the reduced
+oscillator equation, is assembled analytically in scalar form: the ODE loop
+calls it once per stage, where an array call would cost far more than the
+formula.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .quadrature import integrate_panels, split_points
 
 
 class OnConeWarning(UserWarning):
-    """Evaluation exactly on the jump cone t = r; one-sided average returned."""
+    """Free part evaluated exactly on its jump cone t = r; mean of the one-sided limits returned."""
 
 
 @dataclass(eq=False)
@@ -113,41 +115,38 @@ def reduction(state: InitialState) -> OddReduction:
 def dispersive_batch(
     state: InitialState, r: np.ndarray, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(psi_f, psi_f_dot, d_r psi_f) at radii r > 0 and times t, broadcast together."""
+    """(u_f, d_t u_f, d_r u_f) of u_f = r psi_f at radii r >= 0 and times t, broadcast together."""
     red = reduction(state)
     r = np.asarray(r, dtype=float)
     sp, sm = r + t, r - t
-    n = red.u0(sp) + red.u0(sm) + red.V(sp) - red.V(sm)
     up_p, up_m = red.u0_prime(sp), red.u0_prime(sm)
     v_p, v_m = red.v0(sp), red.v0(sm)
-    inv = 1.0 / (2.0 * r)
-    psi = n * inv
-    psi_dot = (up_p - up_m + v_p + v_m) * inv
-    dpsi = ((up_p + up_m + v_p - v_m) - n / r) * inv
-    return psi, psi_dot, dpsi
+    u = 0.5 * (red.u0(sp) + red.u0(sm) + red.V(sp) - red.V(sm))
+    return u, 0.5 * (up_p - up_m + v_p + v_m), 0.5 * (up_p + up_m + v_p - v_m)
 
 
-def check_domain(state: InitialState, r: np.ndarray, t: float) -> None:
-    """Reject r <= 0 or t < 0; warn when a radius sits on the jump cone t = r."""
+def check_domain(r: np.ndarray, t: float) -> None:
+    """Reject r <= 0 or t < 0."""
     if np.any(np.asarray(r) <= 0.0):
         raise ValueError("field evaluation requires r > 0 (use lambda_trace at the origin)")
     if np.any(np.asarray(t) < 0.0):
         raise ValueError("field evaluation requires t >= 0")
-    if (state.zeta0 != 0.0 or state.zeta_dot0 != 0.0) and np.any(np.equal(r, t)):
-        warnings.warn(
-            "evaluation exactly on the cone t = r; returning one-sided average",
-            OnConeWarning,
-            stacklevel=3,
-        )
 
 
 def dispersive_eval(
     state: InitialState, r: np.ndarray, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(psi_f, d/dt psi_f) at radius r > 0, time t >= 0 (numbers, or arrays)."""
-    check_domain(state, r, t)
-    psi, psi_dot, _ = dispersive_batch(state, r, t)
-    return psi, psi_dot
+    check_domain(r, t)
+    if (state.zeta0 != 0.0 or state.zeta_dot0 != 0.0) and np.any(np.equal(r, t)):
+        warnings.warn(
+            "evaluation exactly on the cone t = r, where the free part jumps; "
+            "returning the mean of its one-sided limits",
+            OnConeWarning,
+            stacklevel=2,
+        )
+    u, u_t, _ = dispersive_batch(state, r, t)
+    return u / r, u_t / r
 
 
 def lambda_at(state: InitialState, t: float) -> float:

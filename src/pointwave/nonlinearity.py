@@ -227,9 +227,6 @@ class TruncatedNonlinearity:
     _c_hi: float = field(repr=False, default=0.0)
     _c_lo: float = field(repr=False, default=0.0)
 
-    def in_core(self, zeta: float) -> bool:
-        return abs(zeta) <= self.Lambda
-
     def F(self, zeta: float) -> float:
         lam = self.Lambda
         if zeta > lam:

@@ -4,9 +4,10 @@ Integrands produced by the field evaluators are piecewise smooth with kinks
 on a known, finite set of radii (light cones and support edges).  Every
 integral in this package is computed panel by panel between consecutive
 kinks; inside a panel a breadth-first adaptive Simpson refines intervals in
-batch, calling the integrand on arrays of points.  Panel endpoints that sit
-on a kink are sampled a sliver inside the panel so endpoint values are
-one-sided; the quadrature domain itself is never shrunk.
+batch, calling the integrand on arrays of points.  Every panel end, r = 0
+included, is sampled a sliver inside the panel so endpoint values are
+one-sided and no integrand is ever asked for a limit at a kink or at the
+origin; the quadrature domain itself is never shrunk.
 Pieces are accumulated with math.fsum in interval order, so results are
 bit-reproducible.
 """
@@ -19,7 +20,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 MAX_DEPTH = 36
-_EPS = float(np.finfo(float).eps)
 
 
 class QuadratureError(RuntimeError):
@@ -37,15 +37,15 @@ def integrate_panel(
     """Adaptive Simpson of a vectorized integrand over one smooth panel.
 
     f maps an array of m points to shape (m,) or (m, k) values.  fa/fb allow
-    one-sided endpoint samples when a or b lies on a kink of f.
+    one-sided endpoint samples when a or b lies on a kink of f; f is sampled
+    at a and b only for the ones not given.
     """
     if b <= a:
         raise ValueError(f"empty panel [{a}, {b}]")
-    ends = np.asarray(f(np.array([a, b])), dtype=float)
-    if fa is None:
-        fa = ends[0]
-    if fb is None:
-        fb = ends[1]
+    if fa is None or fb is None:
+        ends = np.asarray(f(np.array([a, b])), dtype=float)
+        fa = ends[0] if fa is None else fa
+        fb = ends[1] if fb is None else fb
     fa = np.atleast_1d(np.asarray(fa, dtype=float))
     fb = np.atleast_1d(np.asarray(fb, dtype=float))
     k = fa.shape[0]
@@ -99,9 +99,11 @@ def integrate_panels(
 ) -> np.ndarray:
     """Integrate f over [breakpoints[0], breakpoints[-1]], split at interior points.
 
-    Interior junctions mark kinks or jumps of f; the endpoint samples there
-    are taken a sliver (1e-13 or a few ulps) inside the panel so they are
-    one-sided, while the integration domain keeps its exact measure.
+    Interior junctions mark kinks or jumps of f, and either end of the whole
+    range may sit on one too (a light cone at the ball radius, or at r = 0 for
+    t = 0); every panel end is therefore sampled a sliver (1e-13 or a few
+    ulps) inside the panel so it is one-sided, while the integration domain
+    keeps its exact measure.
     """
     pts = list(breakpoints)
     if len(pts) < 2:
@@ -110,17 +112,11 @@ def integrate_panels(
     results = []
     for i in range(n):
         a, b = pts[i], pts[i + 1]
-        fa = fb = None
-        if i > 0:
-            a_in = a + max(1e-13, 4.0 * math.ulp(abs(a)))
-            if a_in < b:
-                fa = np.asarray(f(np.array([a_in])), dtype=float).reshape(-1)
-        # the overall upper endpoint may itself sit on a kink (e.g. a light
-        # cone at the ball radius), so its sample is one-sided as well; only
-        # the lower endpoint 0 keeps its exact (limit-valued) sample
+        a_in = a + max(1e-13, 4.0 * math.ulp(abs(a)))
         b_in = b - max(1e-13, 4.0 * math.ulp(abs(b)))
-        if b_in > a:
-            fb = np.asarray(f(np.array([b_in])), dtype=float).reshape(-1)
+        fa = fb = None
+        if a_in < b_in:
+            fa, fb = np.asarray(f(np.array([a_in, b_in])), dtype=float)
         results.append(integrate_panel(f, a, b, tol / n, fa=fa, fb=fb))
     stacked = np.stack([np.atleast_1d(r) for r in results])
     total = np.array([math.fsum(stacked[:, j]) for j in range(stacked.shape[1])])

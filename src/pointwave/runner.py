@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fd_oracle
-from .field_assembly import distance_to_stationary, energy
+from .field_assembly import energy, psi_total
 from .free_wave import lambda_at, psi_G_eval
 from .initial_data import (
     FOUR_PI,
@@ -44,7 +44,6 @@ from .nonlinearity import (
 )
 from .scenario import Scenario
 from .zeta_dynamics import ODEConfig, ZetaHistory, integrate, zeta_at
-from .field_assembly import psi_total
 
 ENERGY_PAD_REL = 1e-6
 
@@ -247,12 +246,3 @@ def run_scenario(
         energies=energies,
         failures=tuple(failures),
     )
-
-
-def attraction_distances(
-    result: RunResult, q: float, R: float, times: tuple[float, ...]
-) -> dict[float, tuple[float, float]]:
-    """Distances to the rest state (q G, 0) on B_R at the given times."""
-    return {
-        t: distance_to_stationary(result.state, result.history, t, q, R) for t in times
-    }

@@ -27,7 +27,6 @@ number.  Lists are comma-separated.  Keys and defaults:
     snapshot.times            comma floats                      []
     snapshot.r_max            snapshot grid radius ("auto")
     snapshot.points           snapshot grid size                [401]
-    probe.radii               local-norm radii                  [1,2]
     oracle.enabled            true | false                      [false]
     oracle.h                  grid step ("auto" = R/4096)
     oracle.R                  grid radius                       [8.0]
@@ -79,7 +78,6 @@ class Scenario:
     snapshot_times: tuple[float, ...] = ()
     snapshot_r_max: float | None = None
     snapshot_points: int = 401
-    probe_radii: tuple[float, ...] = (1.0, 2.0)
     oracle_enabled: bool = False
     oracle_h: float | None = None
     oracle_R: float = 8.0
@@ -159,7 +157,6 @@ _KEYS = {
     "snapshot.times": ("snapshot_times", _parse_floats),
     "snapshot.r_max": ("snapshot_r_max", _parse_auto_float),
     "snapshot.points": ("snapshot_points", _parse_int),
-    "probe.radii": ("probe_radii", _parse_floats),
     "oracle.enabled": ("oracle_enabled", _parse_bool),
     "oracle.h": ("oracle_h", _parse_auto_float),
     "oracle.R": ("oracle_R", _parse_float),

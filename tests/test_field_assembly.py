@@ -9,12 +9,13 @@ from pointwave.field_assembly import (
     distance_to_stationary,
     energy,
     green,
-    psi_singular,
     psi_total,
     regular_trace,
+    u_singular,
 )
 from pointwave.free_wave import lambda_at
 from pointwave.initial_data import FOUR_PI
+from pointwave.runner import amplitude_bound
 from pointwave.zeta_dynamics import ZetaHistory, zeta_at
 
 
@@ -35,39 +36,43 @@ def test_green_values():
 
 
 class TestPsiSingular:
+    """The retarded wave in u = r psi: u_S = theta(t - r) zeta(t - r) / 4pi."""
+
     def test_gate_is_exact(self):
         hist = linear_history()
         for r, t in ((1.0, 0.5), (2.0, 1.99), (0.3, 0.0)):
-            assert psi_singular(hist, r, t) == (0.0, 0.0)
+            assert u_singular(hist, r, t) == (0.0, 0.0)
 
     def test_constant_history(self):
         ts = np.linspace(0.0, 4.0, 11)
         hist = ZetaHistory(times=ts, values=np.full(11, 0.8), derivs=np.zeros(11), Lambda_used=2.0)
-        ps, psd = psi_singular(hist, 0.5, 2.0)
-        assert ps == pytest.approx(0.8 / (2.0 * math.pi), rel=1e-14)
-        assert psd == 0.0
+        us, usd = u_singular(hist, 0.5, 2.0)
+        assert us == pytest.approx(0.8 / FOUR_PI, rel=1e-14)
+        assert usd == 0.0
+        # theta(0) = 1/2 on the cone
+        assert u_singular(hist, 2.0, 2.0)[0] == pytest.approx(0.4 / FOUR_PI, rel=1e-14)
 
     def test_linear_history(self):
         hist = linear_history()
-        ps, psd = psi_singular(hist, 0.5, 2.0)
-        assert ps == pytest.approx(1.5 / (2.0 * math.pi), rel=1e-13)
-        assert psd == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-13)
+        us, usd = u_singular(hist, 0.5, 2.0)
+        assert us == pytest.approx(1.5 / FOUR_PI, rel=1e-13)
+        assert usd == pytest.approx(1.0 / FOUR_PI, rel=1e-13)
 
     def test_horizon_error(self):
         hist = linear_history(T=1.0)
         with pytest.raises(HistoryHorizonError):
-            psi_singular(hist, 0.5, 2.0)
+            u_singular(hist, 0.5, 2.0)
 
     def test_time_derivative_consistency(self, ref_run):
-        # centered difference of psi_S in t matches the stored derivative at
+        # centered difference of u_S in t matches the stored derivative at
         # second order away from the cone
         hist = ref_run["history"]
         k = 1e-4
         for r, t in ((0.7, 3.0), (1.5, 5.0)):
-            up = psi_singular(hist, r, t + k)[0]
-            dn = psi_singular(hist, r, t - k)[0]
-            _, psd = psi_singular(hist, r, t)
-            assert (up - dn) / (2 * k) == pytest.approx(psd, rel=1e-6, abs=1e-9)
+            up = u_singular(hist, r, t + k)[0]
+            dn = u_singular(hist, r, t - k)[0]
+            _, usd = u_singular(hist, r, t)
+            assert (up - dn) / (2 * k) == pytest.approx(usd, rel=1e-6, abs=1e-9)
 
 
 class TestPsiTotal:
@@ -104,6 +109,16 @@ class TestPsiTotal:
         z, _ = zeta_at(hist, 2.5)
         assert fs.psi_reg == pytest.approx(fs.psi - z * green(0.9), rel=1e-14)
 
+    @pytest.mark.parametrize("t", [1.0, 2.5])
+    def test_continuous_on_cone(self, ref_run, t):
+        # the free part's mean on its jump cone plus theta(0) = 1/2 of the
+        # retarded wave is the continuous field
+        state, hist = ref_run["state"], ref_run["history"]
+        on = psi_total(state, hist, t, t)
+        sides = psi_total(state, hist, np.array([t - 1e-9, t + 1e-9]), t)
+        assert abs(on.psi - np.mean(sides.psi)) < 1e-8
+        assert abs(on.psi_dot - np.mean(sides.psi_dot)) < 1e-8
+
 
 class TestRegularTrace:
     def test_stationary(self, stationary_run):
@@ -116,7 +131,7 @@ class TestRegularTrace:
             z, zd = zeta_at(hist, t)
             tr = regular_trace(state, hist, t)
             assert abs(tr - state.nl.F(z)) < 1e-6
-            assert abs(tr - (lambda_at(state, t) - zd / FOUR_PI)) < 1e-6
+            assert abs(tr - (lambda_at(state, t) - zd / FOUR_PI)) < 1e-12
 
 
 class TestEnergy:
@@ -143,9 +158,26 @@ class TestEnergy:
     def test_report_invariants(self, ref_run):
         rep = energy(ref_run["state"], ref_run["history"], 2.0)
         assert rep.total == rep.kinetic + rep.gradient + rep.potential
-        z, _ = zeta_at(ref_run["history"], 2.0)
-        R = 2.0 + ref_run["state"].support_radius + 1.0
-        assert rep.tail_correction == pytest.approx(z * z / (FOUR_PI * R), rel=1e-14)
+
+    def test_independent_of_quadrature_radius(self):
+        # u is the constant tail_phi / 4pi outside the cone of the support, so
+        # a larger ball adds nothing, Coulomb tail and zeta(t) != tail_phi included
+        nl = pw.cubic()
+        phi = pw.RadialProfile(bump=pw.PolynomialBump(nl.F(0.5), 1.0), tail=0.7)
+        pi = pw.RadialProfile(bump=pw.PolynomialBump(0.2, 0.8))
+        state = pw.make_initial_state(phi, pi, 0.5, 0.3, nl)
+        H0 = energy(state, None, 0.0).total
+        trunc = pw.build_truncation(nl, amplitude_bound(nl, H0))
+        hist = pw.integrate(state, trunc, pw.ODEConfig(t_final=8.0))
+        # quad_tol an order below the bound, so the panel count's share of the
+        # tolerance does not enter
+        for t in (0.0, 1.0, 4.0, 8.0):
+            R = t + state.support_radius
+            assert zeta_at(hist, t)[0] != 0.7
+            tight = energy(state, hist, t, R_quad=R, quad_tol=1e-13).total
+            wide = energy(state, hist, t, R_quad=R + 5.0, quad_tol=1e-13).total
+            assert abs(wide - tight) < 1e-12
+            assert abs(tight - H0) < 1e-8
 
     def test_radius_too_small(self, ref_run):
         with pytest.raises(ValueError):

@@ -145,20 +145,21 @@ def tail_state():
 
 
 class TestRadialDerivative:
-    """d_r psi_f of dispersive_batch, the one radial-derivative formula."""
+    """d_r u_f of dispersive_batch, the one radial-derivative formula (u_f = r psi_f)."""
 
     @pytest.mark.parametrize("which", ["ref", "tails"])
     def test_initial_data(self, ref_state, which):
         state = ref_state if which == "ref" else tail_state()
         r = np.linspace(0.05, 4.0, 157)
-        psi, psi_dot, dpsi = dispersive_batch(state, r, 0.0)
+        u, u_t, u_r = dispersive_batch(state, r, 0.0)
         z0 = state.zeta0
         for i, x in enumerate(r):
             x = float(x)
-            dpsi0 = z0 * (chi_prime(x) / x - chi(x) / x**2) / FOUR_PI + state.phi_c.d1(x)
-            assert psi[i] == pytest.approx(state.psi0(x), rel=1e-13, abs=1e-15)
-            assert psi_dot[i] == pytest.approx(state.pi0(x), rel=1e-13, abs=1e-15)
-            assert dpsi[i] == pytest.approx(dpsi0, rel=1e-12, abs=1e-13)
+            # d/dr (r psi0) = psi0 + r psi0', with r psi0 = zeta0 chi / 4pi + r phi_c
+            du0 = z0 * chi_prime(x) / FOUR_PI + state.phi_c.value(x) + x * state.phi_c.d1(x)
+            assert u[i] == pytest.approx(x * state.psi0(x), rel=1e-13, abs=1e-15)
+            assert u_t[i] == pytest.approx(x * state.pi0(x), rel=1e-13, abs=1e-15)
+            assert u_r[i] == pytest.approx(du0, rel=1e-12, abs=1e-13)
 
     @pytest.mark.parametrize("which", ["ref", "tails"])
     def test_centred_difference(self, ref_state, which):
@@ -167,9 +168,9 @@ class TestRadialDerivative:
         r = np.linspace(0.05, 6.0, 211)
         kinks = np.array(sorted(reduction(state).kink_radii(t, 0.0, 7.0)))
         r = r[np.min(np.abs(r[:, None] - kinks[None, :]), axis=1) > 1e-3]
-        _, _, dpsi = dispersive_batch(state, r, t)
+        _, _, u_r = dispersive_batch(state, r, t)
         fd = (dispersive_batch(state, r + h, t)[0] - dispersive_batch(state, r - h, t)[0]) / (2 * h)
-        assert np.max(np.abs(dpsi - fd)) < 1e-8
+        assert np.max(np.abs(u_r - fd)) < 1e-8
 
 
 class TestLambdaTrace:

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -159,12 +160,17 @@ report.csv_rows = 5
         assert any("settle" in f for f in result.failures)
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run_cli(*args, cwd=None):
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "pointwave", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 
