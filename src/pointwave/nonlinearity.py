@@ -146,23 +146,16 @@ def check_confining(nl: Nonlinearity, probe: float = 1e6) -> bool:
 
 
 def _rightmost_crossing(nl: Nonlinearity, h0: float, z_from: float, z_to: float, n: int) -> float | None:
-    """Largest z in [z_from, z_to] with U(z) <= h0, scanning from z_to down."""
+    """Largest z in [z_from, z_to] with U(z) <= h0, from the last such grid sample."""
     grid = np.linspace(z_from, z_to, n + 1)
     g = np.array([nl.U(x) - h0 for x in grid])
-    idx = None
-    for i in range(n, -1, -1):
-        if g[i] <= 0.0:
-            idx = i
-            break
-    if idx is None:
+    below = np.flatnonzero(g <= 0.0)
+    if not below.size:
         return None
-    if idx == n or g[idx] == 0.0 and idx == n:
-        return float(grid[n])
-    if g[idx] == 0.0:
-        z = float(grid[idx])
-    else:
-        z = float(brentq(lambda x: nl.U(x) - h0, grid[idx], grid[idx + 1], xtol=1e-14))
-    return z
+    idx = below[-1]
+    if idx == n or g[idx] == 0.0:
+        return float(grid[idx])
+    return float(brentq(lambda x: nl.U(x) - h0, grid[idx], grid[idx + 1], xtol=1e-14))
 
 
 def lambda_bound(nl: Nonlinearity, H0: float, probe: float = 1e6) -> float:

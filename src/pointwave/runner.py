@@ -26,7 +26,6 @@ from . import fd_oracle
 from .field_assembly import energy, psi_total
 from .free_wave import lambda_at, psi_G_eval
 from .initial_data import (
-    FOUR_PI,
     InitialState,
     PolynomialBump,
     RadialProfile,
@@ -160,6 +159,7 @@ def run_scenario(
 ) -> RunResult:
     """Execute the pipeline and (optionally) write the scenario artifacts."""
     t_start = time.perf_counter()
+    # bound at call time: perfbench/tracer.py wraps zeta_dynamics.detect_limit
     from .zeta_dynamics import detect_limit
 
     nl, state = build_state(s, base_dir)

@@ -42,7 +42,7 @@ number.  Lists are comma-separated.  Keys and defaults:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 

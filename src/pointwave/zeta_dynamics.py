@@ -1,14 +1,12 @@
 """Reduced dynamics of the point amplitude: zeta' = 4 pi (lambda(t) - F(zeta)).
 
 Integrated with an adaptive embedded Dormand-Prince 5(4) pair whose step is
-capped by 0.1 / (1 + 4 pi L), L the Lipschitz constant of the truncated
-force; the one-dimensional equation is then unconditionally stable for the
-explicit scheme and no implicit fallback is needed.  Accepted steps store the
-exact right-hand side, giving a C1 cubic Hermite dense output; zeta_at is
-its one evaluator, for one time or for the array of retarded times a field
-evaluation needs.  The a priori amplitude bound is monitored: an accepted node outside
-[-Lambda, Lambda] aborts the run (it would mean the truncated force differed
-from the true one along the trajectory).
+capped at the pair's real stability boundary (see step_cap).  Accepted steps
+store the exact right-hand side, giving a C1 cubic Hermite dense output;
+zeta_at is its one evaluator, for one time or for the array of retarded
+times a field evaluation needs.  The a priori amplitude bound is monitored:
+an accepted node outside [-Lambda, Lambda] aborts the run (it would mean the
+truncated force differed from the true one along the trajectory).
 """
 
 from __future__ import annotations
@@ -47,8 +45,19 @@ class ODEConfig:
             raise ValueError("max_step and t_final must be positive")
 
 
+# z* > 0 with R(-z*) = 1, R(z) = sum_{k<=5} z^k / k! + z^6 / 600 the stability
+# function of DP5 (Hairer, Norsett, Wanner, Solving ODEs I, II.4)
+DP5_REAL_BOUNDARY = 3.3065678926349467
+
+
 def step_cap(trunc: TruncatedNonlinearity) -> float:
-    return 0.1 / (1.0 + FOUR_PI * trunc.lipschitz_constant)
+    """z* / (4 pi L), L the Lipschitz constant of F~ (at least its curvature floor).
+
+    Near a rest state q of zeta' = 4 pi (c - F~(zeta)) a step multiplies zeta - q
+    by R(-dt 4 pi F~'(q)), and 0.173 <= R <= 1 on [-z*, 0]: no capped step
+    overshoots q or moves away from it.  Past z*, R > 1 and steps move away.
+    """
+    return DP5_REAL_BOUNDARY / (FOUR_PI * trunc.lipschitz_constant)
 
 
 @dataclass(eq=False)
@@ -113,14 +122,11 @@ def integrate_source(
     cap = min(cfg.max_step, step_cap(trunc))
     t_end = cfg.t_final
 
-    def f(t: float, y: float) -> float:
-        return FOUR_PI * (source(t) - trunc.F(y))
-
     ts = [0.0]
     ys = [zeta0]
     touched_truncation = abs(zeta0) > lam_bound
 
-    k1 = f(0.0, zeta0)
+    k1 = rhs(trunc, zeta0, source(0.0))
     ds = [k1]
     t, y = 0.0, zeta0
     dt = cap / 10.0
@@ -136,7 +142,7 @@ def integrate_source(
             yi = y + dt * sum(_A[i][j] * ks[j] for j in range(i))
             if abs(yi) > lam_bound:
                 touched_truncation = True
-            ks[i] = f(t + _C[i] * dt, yi)
+            ks[i] = rhs(trunc, yi, source(t + _C[i] * dt))
         y_new = y + dt * sum(_A[6][j] * ks[j] for j in range(6))
         err = dt * sum(_E[j] * ks[j] for j in range(7))
         # dense-output (cubic Hermite) error estimate: third divided difference

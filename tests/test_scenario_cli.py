@@ -7,9 +7,8 @@ from pathlib import Path
 
 import pytest
 
-import pointwave as pw
 from pointwave.runner import run_scenario
-from pointwave.scenario import ConfigError, Scenario, parse_config
+from pointwave.scenario import ConfigError, parse_config
 
 MINIMAL = """
 name = stationary_demo

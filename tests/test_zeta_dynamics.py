@@ -3,11 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import pointwave as pw
 from pointwave.initial_data import FOUR_PI
 from pointwave.zeta_dynamics import (
+    DP5_REAL_BOUNDARY,
+    _A,
     ODEConfig,
     TruncationEnteredError,
     ZetaHistory,
@@ -148,6 +149,24 @@ def test_step_cap_enforced(ref_run):
     hist = ref_run["history"]
     cap = step_cap(ref_run["trunc"])
     assert float(np.max(np.diff(hist.times))) <= cap + 1e-12
+
+
+def test_step_cap_boundary_is_the_tableau_root():
+    # stability function R(z) = 1 + z b^T (I - z A)^-1 1 of the tableau, with
+    # b the last row of A (first same as last)
+    n = len(_A)
+    A = np.zeros((n, n))
+    for i, row in enumerate(_A):
+        A[i, : len(row)] = row
+
+    def R(z):
+        return 1.0 + z * A[-1] @ np.linalg.solve(np.eye(n) - z * A, np.ones(n))
+
+    z_star = DP5_REAL_BOUNDARY
+    assert abs(R(-z_star) - 1.0) <= 1e-12
+    values = np.array([R(z) for z in np.linspace(-z_star, 0.0, 401)])
+    assert values.min() > 0.0
+    assert values.max() <= 1.0 + 1e-12
 
 
 def test_detect_limit_stationary(stationary_run):
