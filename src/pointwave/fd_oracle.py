@@ -3,11 +3,24 @@
 The substitution u = r psi turns the radial problem into the 1D wave
 equation u_tt = u_rr on (0, R] with the nonlinear Robin condition
 d_r u(0, t) = F(4 pi u(0, t)) carrying the whole point interaction, and an
-exact characteristic outflow condition at r = R.  The grid runs at Courant
-number exactly 1, which makes the interior leapfrog update exact: every bit
-of discretization error is concentrated at the nonlinear boundary, the
-sharpest possible configuration for checking the reduced oscillator
-dynamics.  The point amplitude is read off as 4 pi u(0, t).
+exact characteristic outflow condition at r = R.  The scheme is the leapfrog
+u^{n+1}_j = u^n_{j+1} + u^n_{j-1} - u^{n-1}_j at Courant number exactly 1,
+started by a second-order Taylor step; the point amplitude is 4 pi u^n_0.
+
+At Courant number 1 the leapfrog is exact transport, a discrete d'Alembert
+formula: p^n_j = u^{n+1}_j - u^n_{j-1} obeys p^n_j = p^{n-1}_{j+1}, so
+p^n_j = p^0_{j+n}, with p^0 = 0 from the outflow row N on.  The march is
+therefore a scalar recurrence for the boundary values b_n = u^n_0: the
+boundary solve at step n + 1 needs only u^{n+1}_1 = b_n + p^0_{n+1} and
+u^{n+1}_2 = u^n_1 + p^0_{n+2}.  A snapshot at step m is read off the
+characteristics, u^m_j = b_{m-j} (j <= m) or u^0_{j-m} (j > m) plus the
+p^0 crossed on the way, a stride-2 prefix sum.  This is the leapfrog's own
+arithmetic with the additions reordered, so it agrees with a full-array march
+to rounding.  The transport is exact; the discretization error enters only
+through the Taylor start (O(h^3) in each p^0_j) and the one-sided boundary
+solve, the sharpest possible configuration for checking the reduced oscillator
+dynamics.  With trunc None (free mode) the trace is homogeneous Dirichlet,
+b_n = 0 for n >= 1.
 
 The boundary value u0 solves g(u0) = (-3 u0 + 4 u1 - u2)/(2h) - F~(4 pi u0)
 = 0 at each step.  g is strictly decreasing, so the root is unique, when
@@ -21,44 +34,27 @@ as the sample for other forces).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .initial_data import FOUR_PI, InitialState
-from .nonlinearity import TruncatedNonlinearity
+from .initial_data import FOUR_PI, ZERO_PROFILE, InitialState
+from .nonlinearity import TruncatedNonlinearity, linear
 from .zeta_dynamics import ZetaHistory
 from .field_assembly import psi_total
 from .free_wave import reduction
 
 
 class OracleError(RuntimeError):
-    """Grid construction or boundary Newton solve failed, or the grid step is
-    too coarse for a unique boundary root."""
+    """Grid construction or boundary Newton solve failed, the grid step is
+    too coarse for a unique boundary root, or a snapshot time is out of range."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class OracleGrid:
     h: float
     N: int
     r: np.ndarray
-    dt: float
-    u_prev: np.ndarray
-    u_curr: np.ndarray
-    n: int  # time index of u_curr
-    mode: str = "interacting"  # or "free" (homogeneous Dirichlet trace)
-
-    @property
-    def R(self) -> float:
-        return self.N * self.h
-
-    @property
-    def t(self) -> float:
-        return self.n * self.dt
-
-    @property
-    def trace_value(self) -> float:
-        return FOUR_PI * float(self.u_curr[0])
 
 
 def _robin_solve(
@@ -96,13 +92,14 @@ def init_grid(
     trunc: TruncatedNonlinearity | None,
     h: float,
     R: float,
-    mode: str = "interacting",
-) -> OracleGrid:
+) -> tuple[OracleGrid, np.ndarray, np.ndarray]:
     """Sample u = r psi0 on the grid and take one second-order Taylor step.
 
-    The outflow condition is exact for purely outgoing signals, so R only
-    needs to contain the data support; no reflection develops afterwards.
-    Interacting mode needs min F~' > -3/(8 pi h) (see the module docstring).
+    Returns the grid and the start levels u^0 and u^1.  The outflow condition
+    is exact for purely outgoing signals, so R only needs to contain the data
+    support; no reflection develops afterwards.  trunc None is free mode;
+    otherwise the boundary needs min F~' > -3/(8 pi h) (see the module
+    docstring).
     """
     if h <= 0.0:
         raise OracleError("h must be positive")
@@ -113,11 +110,7 @@ def init_grid(
         raise OracleError(
             f"grid radius {R} does not contain the data support {state.support_radius}"
         )
-    if mode not in ("interacting", "free"):
-        raise OracleError(f"unknown mode {mode!r}")
-    if mode == "interacting" and trunc is None:
-        raise OracleError("interacting mode needs a truncated nonlinearity")
-    if mode == "interacting" and not trunc.min_slope > -3.0 / (2.0 * FOUR_PI * h):
+    if trunc is not None and not trunc.min_slope > -3.0 / (2.0 * FOUR_PI * h):
         h_max = 3.0 / (2.0 * FOUR_PI * abs(trunc.min_slope))
         raise OracleError(
             f"boundary equation is not monotone at h = {h} (min F~' = "
@@ -132,38 +125,19 @@ def init_grid(
     v0[0] = state.zeta_dot0 / FOUR_PI
     v0[1:] = [rr * state.pi0(rr) for rr in r[1:]]
 
-    dt = h  # Courant number 1
     u1 = np.empty(N + 1)
-    u1[1:-1] = u0[1:-1] + dt * v0[1:-1] + 0.5 * (u0[2:] - 2.0 * u0[1:-1] + u0[:-2])
+    u1[1:-1] = u0[1:-1] + h * v0[1:-1] + 0.5 * (u0[2:] - 2.0 * u0[1:-1] + u0[:-2])
     u1[-1] = u0[-2]
-    if mode == "free":
-        u1[0] = 0.0
-    else:
-        u1[0] = _robin_solve(trunc, u1[1], u1[2], h, u0[0])
-    return OracleGrid(h=h, N=N, r=r, dt=dt, u_prev=u0, u_curr=u1, n=1, mode=mode)
+    u1[0] = 0.0 if trunc is None else _robin_solve(trunc, u1[1], u1[2], h, u0[0])
+    return OracleGrid(h=h, N=N, r=r), u0, u1
 
 
-def step(grid: OracleGrid, trunc: TruncatedNonlinearity | None) -> None:
-    """One leapfrog step; interior exact at Courant 1, Newton at the origin."""
-    u_next = np.empty(grid.N + 1)
-    uc, up = grid.u_curr, grid.u_prev
-    u_next[1:-1] = uc[2:] + uc[:-2] - up[1:-1]
-    u_next[-1] = uc[-2]
-    if grid.mode == "free":
-        u_next[0] = 0.0
-    else:
-        u_next[0] = _robin_solve(trunc, u_next[1], u_next[2], grid.h, uc[0])
-    grid.u_prev = uc
-    grid.u_curr = u_next
-    grid.n += 1
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class OracleRun:
+    grid: OracleGrid
     times: np.ndarray
     trace: np.ndarray  # 4 pi u(0, t)
-    snapshots: dict[float, np.ndarray] = field(default_factory=dict)
-    grid: OracleGrid | None = None
+    snapshots: dict[float, np.ndarray]
 
 
 def run(
@@ -173,36 +147,46 @@ def run(
     h: float,
     R: float,
     snapshot_times: tuple[float, ...] = (),
-    mode: str = "interacting",
 ) -> OracleRun:
-    """March to time T, recording the amplitude trace and requested snapshots."""
-    grid = init_grid(state, trunc, h, R, mode=mode)
-    n_steps = int(round(T / grid.dt))
-    wanted = {int(round(ts / grid.dt)): ts for ts in snapshot_times}
-    trace = [FOUR_PI * grid.u_prev[0], FOUR_PI * grid.u_curr[0]]
-    snapshots: dict[float, np.ndarray] = {}
-    if 0 in wanted:
-        snapshots[wanted[0]] = grid.u_prev.copy()
-    if 1 in wanted:
-        snapshots[wanted[1]] = grid.u_curr.copy()
-    for n in range(2, n_steps + 1):
-        step(grid, trunc)
-        trace.append(grid.trace_value)
-        if n in wanted:
-            snapshots[wanted[n]] = grid.u_curr.copy()
-    times = np.arange(len(trace)) * grid.dt
-    return OracleRun(times=times, trace=np.array(trace), snapshots=snapshots, grid=grid)
+    """March to time T, recording the amplitude trace and requested snapshots.
+
+    trunc None runs free mode.  Snapshot times must lie in [0, T].
+    """
+    for ts in snapshot_times:
+        if not 0.0 <= ts <= T:
+            raise OracleError(f"snapshot time {ts} is outside [0, T = {T}]")
+    grid, u0, u1 = init_grid(state, trunc, h, R)
+    N = grid.N
+    n_steps = max(int(round(T / h)), 1)  # the start levels u^0, u^1 always exist
+    p = np.zeros(N + n_steps + 2)
+    p[1 : N + 1] = u1[1:] - u0[:-1]
+    b = np.zeros(n_steps + 1)  # u^n_0; free mode keeps b_n = 0 for n >= 1
+    b[:2] = u0[0], u1[0]
+    if trunc is not None:
+        b_n, u_1 = float(u1[0]), float(u1[1])  # u^n_0, u^n_1
+        for n in range(1, n_steps):
+            u_1, u_2 = b_n + p.item(n + 1), u_1 + p.item(n + 2)
+            b_n = b[n + 1] = _robin_solve(trunc, u_1, u_2, h, b_n)
+
+    S = np.zeros(len(p) + 2)  # S[k + 2] = p[k] + p[k - 2] + ... + p[k mod 2]
+    S[2::2] = np.cumsum(p[0::2])
+    S[3::2] = np.cumsum(p[1::2])
+    j = np.arange(N + 1)
+    snapshots = {}
+    for ts in snapshot_times:
+        m = int(round(ts / h))
+        base = np.concatenate((b[m::-1], u0[1:]))[: N + 1]
+        snapshots[ts] = base + (S[j + m + 1] - S[np.abs(j - m) + 1])
+    return OracleRun(grid=grid, times=np.arange(len(b)) * h, trace=FOUR_PI * b, snapshots=snapshots)
 
 
 def huygens_probe_state(zeta0: float, zeta_dot0: float) -> InitialState:
     """Bare cutoff-singular data for linear free-evolution probes.
 
     Not an admissible interacting state (no compatibility bump), which is why
-    it bypasses make_initial_state; use with mode="free" only.
+    it bypasses make_initial_state; run it with trunc None (free mode) only,
+    where its free evolution vanishes for t >= r + 2.
     """
-    from .initial_data import ZERO_PROFILE
-    from .nonlinearity import linear
-
     return InitialState(
         phi_c=ZERO_PROFILE,
         pi_c=ZERO_PROFILE,
@@ -212,11 +196,14 @@ def huygens_probe_state(zeta0: float, zeta_dot0: float) -> InitialState:
     )
 
 
-def interior_energy(grid: OracleGrid, r_max: float) -> float:
-    """Discrete wave energy inside r < r_max (transparency diagnostic)."""
+def interior_energy(
+    grid: OracleGrid, u_prev: np.ndarray, u_curr: np.ndarray, r_max: float
+) -> float:
+    """Discrete wave energy inside r < r_max from two adjacent levels
+    (transparency diagnostic)."""
     j_max = min(int(r_max / grid.h), grid.N - 1)
-    ut = (grid.u_curr[: j_max + 1] - grid.u_prev[: j_max + 1]) / grid.dt
-    ur = (grid.u_curr[2 : j_max + 2] - grid.u_curr[: j_max]) / (2.0 * grid.h)
+    ut = (u_curr[: j_max + 1] - u_prev[: j_max + 1]) / grid.h
+    ur = (u_curr[2 : j_max + 2] - u_curr[:j_max]) / (2.0 * grid.h)
     return float(grid.h * (np.sum(ut[1:-1] ** 2) + np.sum(ur**2)))
 
 

@@ -14,6 +14,8 @@ number.  Lists are comma-separated.  Keys and defaults:
     data.zeta0, data.zeta_dot0                                  [0.0, 0.0]
     data.pi_amplitude, data.pi_rho   velocity bump              [0.0, 1.0]
     data.tail_phi, data.tail_pi      Coulomb tail coefficients  [0.0, 0.0]
+                              (tail_pi must be 0: a velocity tail has
+                              infinite kinetic energy)
     data.phi_file, data.pi_file      two-column (r, value) spline profiles
     ode.t_final               horizon (> 0; negative times are a CLI-level
                               time reversal, see the docstring
@@ -221,6 +223,11 @@ def _validate(s: Scenario, base_dir: str | Path | None) -> None:
         raise ConfigError(f"unknown nonlinearity kind {s.nonlinearity_kind!r}")
     if s.nonlinearity_kind == "poly" and not s.coefficients:
         raise ConfigError("poly nonlinearity needs nonlinearity.coefficients")
+    if s.tail_pi != 0.0:
+        raise ConfigError(
+            f"data.tail_pi = {s.tail_pi!r}: a velocity tail psi_t ~ tail_pi/(4 pi r) "
+            "has infinite kinetic energy, outside the finite-energy class; it must be 0"
+        )
     if s.data_kind not in ("bump", "stationary", "spline"):
         raise ConfigError(f"unknown data kind {s.data_kind!r}")
     if s.data_kind == "spline" and not (s.phi_file or s.pi_file):

@@ -116,9 +116,7 @@ def test_criterion_03_strong_huygens():
     worst_fd = {}
     for h in (1.0 / 128, 1.0 / 256):
         probe = fd_oracle.huygens_probe_state(0.5, 0.3)
-        run = fd_oracle.run(
-            probe, None, T=8.0, h=h, R=10.0, snapshot_times=(5.0, 8.0), mode="free"
-        )
+        run = fd_oracle.run(probe, None, T=8.0, h=h, R=10.0, snapshot_times=(5.0, 8.0))
         w = 0.0
         for t, u in run.snapshots.items():
             mask = (run.grid.r >= 0.2) & (run.grid.r <= t - 2.0)

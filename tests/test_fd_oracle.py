@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from pointwave.initial_data import (
     ZERO_PROFILE,
 )
 from pointwave.nonlinearity import Nonlinearity
+from pointwave.zeta_dynamics import zeta_at
 
 
 def silent_linear_state(z0=1.0):
@@ -46,24 +49,24 @@ class TestInit:
     def test_stationary_profile(self):
         state = pw.stationary_data(1.0, pw.cubic())
         trunc = pw.build_truncation(pw.cubic(), 1.5)
-        grid = fd_oracle.init_grid(state, trunc, h=0.05, R=6.0)
-        assert np.allclose(grid.u_prev, 1.0 / FOUR_PI, atol=1e-15)
-        assert np.allclose(grid.u_curr, 1.0 / FOUR_PI, atol=1e-12)
+        _, u0, u1 = fd_oracle.init_grid(state, trunc, h=0.05, R=6.0)
+        assert np.allclose(u0, 1.0 / FOUR_PI, atol=1e-15)
+        assert np.allclose(u1, 1.0 / FOUR_PI, atol=1e-12)
 
     def test_zero_state(self):
         state = pw.make_initial_state(ZERO_PROFILE, ZERO_PROFILE, 0.0, 0.0, pw.cubic())
         trunc = pw.build_truncation(pw.cubic(), 1.0)
-        grid = fd_oracle.init_grid(state, trunc, h=0.05, R=6.0)
-        assert np.all(grid.u_prev == 0.0)
-        assert np.all(grid.u_curr == 0.0)
+        _, u0, u1 = fd_oracle.init_grid(state, trunc, h=0.05, R=6.0)
+        assert np.all(u0 == 0.0)
+        assert np.all(u1 == 0.0)
 
     def test_bump_sampling(self, ref_state):
         trunc = pw.build_truncation(pw.cubic(), 1.6)
-        grid = fd_oracle.init_grid(ref_state, trunc, h=0.01, R=8.0)
-        assert grid.u_prev[0] == pytest.approx(0.5 / FOUR_PI, rel=1e-15)
+        grid, u0, _ = fd_oracle.init_grid(ref_state, trunc, h=0.01, R=8.0)
+        assert u0[0] == pytest.approx(0.5 / FOUR_PI, rel=1e-15)
         for j in (1, 57, 313):
             r = grid.r[j]
-            assert grid.u_prev[j] == pytest.approx(r * ref_state.psi0(r), rel=1e-14)
+            assert u0[j] == pytest.approx(r * ref_state.psi0(r), rel=1e-14)
 
     def test_grid_too_small(self, ref_state):
         trunc = pw.build_truncation(pw.cubic(), 1.6)
@@ -78,43 +81,96 @@ def test_stationary_trace_constant():
     assert float(np.max(np.abs(run.trace - 1.0))) < 1e-12
 
 
-def test_unit_courant_transport_is_exact():
-    # right-moving pulse away from both boundaries: the interior update must
-    # move it one cell per step with no deformation
-    zero_nl = Nonlinearity(U=lambda z: 0.0, F=lambda z: 0.0, F_prime=lambda z: 0.0)
-    trunc = pw.build_truncation(zero_nl, 1.0)
-    state = pw.make_initial_state(ZERO_PROFILE, ZERO_PROFILE, 0.0, 0.0, zero_nl)
-    h = 0.02
-    grid = fd_oracle.init_grid(state, trunc, h=h, R=20.0)
+def _leapfrog(state, trunc, T, h, R):
+    """Reference: the full-array leapfrog march; returns every level u^n."""
+    _, up, uc = fd_oracle.init_grid(state, trunc, h, R)
+    levels = [up, uc]
+    for _ in range(2, int(round(T / h)) + 1):
+        un = np.empty_like(uc)
+        un[1:-1], un[-1] = uc[2:] + uc[:-2] - up[1:-1], uc[-2]
+        un[0] = 0.0 if trunc is None else fd_oracle._robin_solve(trunc, un[1], un[2], h, uc[0])
+        up, uc = uc, un
+        levels.append(uc)
+    return np.array(levels)
 
-    def pulse(x):
-        return np.where(np.abs(x - 5.0) < 1.0, (1.0 - (x - 5.0) ** 2) ** 3, 0.0)
 
-    grid.u_prev = pulse(grid.r)
-    grid.u_curr = pulse(grid.r - h)
-    for _ in range(200):
-        fd_oracle.step(grid, trunc)
-    expected = pulse(grid.r - 201 * h)
-    interior = slice(1, grid.N - 1)
-    assert float(np.max(np.abs(grid.u_curr[interior] - expected[interior]))) < 1e-13
+@pytest.mark.parametrize("case", ["interacting", "free"])
+def test_run_matches_full_array_leapfrog(ref_state, case):
+    # the recurrence is the leapfrog's arithmetic reordered: rounding apart,
+    # it must reproduce every node, before, at and after the first cone
+    # reaches R = 6
+    if case == "interacting":
+        state, trunc = ref_state, pw.build_truncation(pw.cubic(), 1.6)
+    else:
+        state, trunc = huygens_probe_state(1.0, 0.5), None
+    h, times = 1.0 / 64, (0.0, 1.0 / 64, 2.0 / 64, 1.0, 3.0, 6.0, 9.0)
+    run = fd_oracle.run(state, trunc, T=9.0, h=h, R=6.0, snapshot_times=times)
+    levels = _leapfrog(state, trunc, 9.0, h, 6.0)
+    assert float(np.max(np.abs(run.trace - FOUR_PI * levels[:, 0]))) <= 1e-13
+    for t in times:
+        assert float(np.max(np.abs(run.snapshots[t] - levels[int(round(t / h))]))) <= 1e-13
 
 
 def test_outflow_transparency():
-    zero_nl = Nonlinearity(U=lambda z: 0.0, F=lambda z: 0.0, F_prime=lambda z: 0.0)
-    trunc = pw.build_truncation(zero_nl, 1.0)
-    state = pw.make_initial_state(ZERO_PROFILE, ZERO_PROFILE, 0.0, 0.0, zero_nl)
-    h = 0.02
-    grid = fd_oracle.init_grid(state, trunc, h=h, R=10.0)
+    # the probe's free evolution vanishes for t >= r + 2, so at T = 14 nothing
+    # may be left in r <= 10: a reflection at R would leave energy behind
+    h = 1.0 / 64
+    run = fd_oracle.run(
+        huygens_probe_state(1.0, 0.5), None, T=14.0, h=h, R=10.0,
+        snapshot_times=(0.0, h, 14.0 - h, 14.0),
+    )
+    snap = run.snapshots
+    e0 = interior_energy(run.grid, snap[0.0], snap[h], 10.0)
+    assert e0 > 0.0
+    assert interior_energy(run.grid, snap[14.0 - h], snap[14.0], 10.0) < 1e-10 * e0
 
-    def pulse(x):
-        return np.where(np.abs(x - 7.0) < 1.0, (1.0 - (x - 7.0) ** 2) ** 3, 0.0)
 
-    grid.u_prev = pulse(grid.r)
-    grid.u_curr = pulse(grid.r - h)
-    e0 = interior_energy(grid, 10.0)
-    for _ in range(int(6.0 / h)):
-        fd_oracle.step(grid, trunc)
-    assert interior_energy(grid, 5.0) < 1e-10 * e0
+@pytest.mark.parametrize("ts", [2.0, -0.5])
+def test_snapshot_time_outside_run_refused(ts):
+    state = huygens_probe_state(1.0, 0.5)
+    with pytest.raises(OracleError, match=f"snapshot time {ts} is outside"):
+        fd_oracle.run(state, None, T=1.0, h=1.0 / 32, R=4.0, snapshot_times=(ts,))
+
+
+def test_second_order_convergence(ref_run):
+    # exact transport leaves only the Taylor start and the one-sided boundary
+    # solve, both second order: every halving of h divides the field and the
+    # trace errors by 4
+    state, trunc, hist = ref_run["state"], ref_run["trunc"], ref_run["history"]
+    errs = []
+    for k in range(4):
+        h = 8.0 / 4096 / 2**k
+        run = fd_oracle.run(state, trunc, T=10.0, h=h, R=8.0, snapshot_times=(10.0,))
+        rel, rel_x = fd_oracle.compare(state, hist, run, 10.0, 8.0)
+        trace_err = float(np.max(np.abs(run.trace - zeta_at(hist, run.times)[0])))
+        errs.append((rel, rel_x, trace_err))
+    ratios = np.array(errs[1:]) / np.array(errs[:-1])
+    assert np.all((ratios[:, :2] >= 0.2) & (ratios[:, :2] <= 0.3)), ratios
+    assert np.all((ratios[:, 2] >= 0.23) & (ratios[:, 2] <= 0.27)), ratios
+
+
+SEMI_ANALYTIC = {"field_assembly", "free_wave", "zeta_dynamics"}
+
+
+def test_march_is_independent_of_the_semi_analytic_solver():
+    # only compare may reach the solver the oracle is meant to check
+    tree = ast.parse(Path(fd_oracle.__file__).read_text(encoding="utf-8"))
+    banned = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rsplit(".", 1)[-1]
+            for alias in node.names:
+                if module in SEMI_ANALYTIC or alias.name in SEMI_ANALYTIC:
+                    banned.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.rsplit(".", 1)[-1] in SEMI_ANALYTIC:
+                    banned.add(alias.asname or alias.name.split(".")[0])
+    assert {"psi_total", "reduction"} <= banned
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("init_grid", "run", "_robin_solve"):
+        used = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)} & banned
+        assert not used, f"{name} refers to {sorted(used)}"
 
 
 def test_linear_force_trace_convergence():
@@ -142,9 +198,7 @@ def test_linear_force_trace_convergence():
 def test_huygens_probe_free_mode():
     for h in (1.0 / 128, 1.0 / 256):
         state = huygens_probe_state(1.0, 0.5)
-        run = fd_oracle.run(
-            state, None, T=8.0, h=h, R=10.0, snapshot_times=(4.0, 6.0, 8.0), mode="free"
-        )
+        run = fd_oracle.run(state, None, T=8.0, h=h, R=10.0, snapshot_times=(4.0, 6.0, 8.0))
         worst = 0.0
         for t, u in run.snapshots.items():
             mask = (run.grid.r >= 0.2) & (run.grid.r <= t - 2.0)

@@ -71,6 +71,11 @@ class TestParse:
         with pytest.raises(ConfigError, match="nope.txt"):
             parse_config(text, base_dir=tmp_path)
 
+    def test_velocity_tail_rejected(self):
+        # psi_t ~ tail_pi/(4 pi r) is not square-integrable: infinite energy
+        with pytest.raises(ConfigError, match="tail_pi = 0.5: .*infinite kinetic energy"):
+            parse_config(MINIMAL + "data.tail_pi = 0.5\n")
+
     def test_reversed_negates_velocities(self):
         s = parse_config(LINEAR_SHORT)
         r = s.reversed()
@@ -188,6 +193,14 @@ class TestCli:
         proc = run_cli("run", str(cfg), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert "unknown key" in proc.stderr
+
+    def test_run_velocity_tail_exit_two(self, tmp_path):
+        cfg = tmp_path / "tail.cfg"
+        cfg.write_text(LINEAR_SHORT + "data.tail_pi = -0.2\n")
+        proc = run_cli("run", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "config error: data.tail_pi = -0.2" in proc.stderr
 
     def test_time_reversal_flag(self, tmp_path):
         cfg = tmp_path / "fwd.cfg"
