@@ -57,13 +57,7 @@ class OddReduction:
     @property
     def kinks(self) -> tuple[float, ...]:
         """Nonsmooth/steep points of the reduced data on the positive axis."""
-        return (
-            0.0,
-            1.0,
-            R_OUTER,
-            self.phi_bump.support_radius,
-            self.pi_bump.support_radius,
-        )
+        return (0.0, 1.0, R_OUTER, *self.phi_bump.kinks, *self.pi_bump.kinks)
 
     def kink_radii(self, t: float, lo: float, hi: float) -> set[float]:
         """Radii in (lo, hi) where the field at time t is not smooth: the cones of the kinks."""

@@ -44,6 +44,10 @@ class PolynomialBump:
     amplitude: float
     support_radius: float
 
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        return (self.support_radius,)
+
     def value(self, r: float) -> float:
         if r >= self.support_radius:
             return 0.0
@@ -122,6 +126,11 @@ class SplineBump:
     def support_radius(self) -> float:
         return self.knots[-1]
 
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        """The knots, where the third derivative jumps."""
+        return self.knots
+
     def value(self, r: float) -> float:
         if r >= self.support_radius:
             return 0.0
@@ -176,6 +185,10 @@ class CallableBump:
     d2_fn: Callable[[float], float]
     support_radius: float
     integral_fn: Callable[[float], float] | None = None
+
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        return (self.support_radius,)
 
     def value(self, r: float) -> float:
         return self.value_fn(r) if r < self.support_radius else 0.0

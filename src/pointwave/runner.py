@@ -10,6 +10,9 @@ check in any meaningful way.
 Outputs per scenario: zeta.csv (t, zeta, zeta_dot, lambda, F, H),
 field_t*.csv snapshots, report.json.  All data files are bit-reproducible
 for a fixed config; wall-clock time appears only in the report metadata.
+The H column of zeta.csv comes from one energy_ledger pass over all rows;
+field_assembly.energy is the independent audit, at H0 and at the energy
+times, and only the audit enters the report.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fd_oracle
-from .field_assembly import energy, psi_total
+from .field_assembly import energy, energy_ledger, psi_total
 from .free_wave import lambda_at, psi_G_eval
 from .initial_data import (
     InitialState,
@@ -105,7 +108,7 @@ def build_state(s: Scenario, base_dir: str | Path | None = None) -> tuple[Nonlin
         pi_bump = PolynomialBump(amplitude=s.pi_amplitude, support_radius=s.pi_rho)
     state = make_initial_state(
         phi_c=RadialProfile(bump=phi_bump, tail=s.tail_phi),
-        pi_c=RadialProfile(bump=pi_bump, tail=s.tail_pi),
+        pi_c=RadialProfile(bump=pi_bump),
         zeta0=s.zeta0,
         zeta_dot0=s.zeta_dot0,
         nl=nl,
@@ -130,13 +133,11 @@ def _fmt(x: float) -> str:
 
 def _write_zeta_csv(path: Path, s: Scenario, state: InitialState, history: ZetaHistory) -> None:
     rows = ["t,zeta,zeta_dot,lambda,F,H"]
-    h_tol = max(s.quad_tol, 1e-9)
-    for t in np.linspace(0.0, s.t_final, s.csv_rows):
-        t = float(t)
+    ts = np.linspace(0.0, s.t_final, s.csv_rows)
+    for t, h_val in zip(ts.tolist(), energy_ledger(state, history, ts).total.tolist()):
         z, zd = zeta_at(history, t)
         lam = lambda_at(state, t)
         f_val = state.nl.F(z)
-        h_val = energy(state, history, t, s.quad_radius, h_tol).total
         rows.append(",".join(_fmt(v) for v in (t, z, zd, lam, f_val, h_val)))
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 

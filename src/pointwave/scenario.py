@@ -95,7 +95,6 @@ class Scenario:
             self,
             zeta_dot0=-self.zeta_dot0,
             pi_amplitude=-self.pi_amplitude,
-            tail_pi=-self.tail_pi,
         )
 
 

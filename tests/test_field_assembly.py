@@ -1,13 +1,16 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pointwave as pw
+import pointwave.runner as runner
 from pointwave.field_assembly import (
     HistoryHorizonError,
     distance_to_stationary,
     energy,
+    energy_ledger,
     green,
     psi_total,
     regular_trace,
@@ -15,8 +18,11 @@ from pointwave.field_assembly import (
 )
 from pointwave.free_wave import lambda_at
 from pointwave.initial_data import FOUR_PI
-from pointwave.runner import amplitude_bound
+from pointwave.runner import amplitude_bound, build_state, run_scenario
+from pointwave.scenario import load_config
 from pointwave.zeta_dynamics import ZetaHistory, zeta_at
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def linear_history(T=3.0):
@@ -195,6 +201,152 @@ class TestEnergy:
         )
         with pytest.raises(ValueError):
             energy(state, None, 0.0)
+
+
+def _shipped_run(path: Path) -> dict:
+    """The pipeline's state and history for a shipped config, without the audits."""
+    s = load_config(path)
+    nl, state = build_state(s)
+    H0 = energy(state, None, 0.0, s.quad_radius, s.quad_tol).total
+    cfg = pw.ODEConfig(rel_tol=s.rel_tol, abs_tol=s.abs_tol, max_step=s.max_step, t_final=s.t_final)
+    history = pw.integrate(state, pw.build_truncation(nl, amplitude_bound(nl, H0)), cfg)
+    return {"s": s, "state": state, "history": history, "H0": H0}
+
+
+@pytest.fixture(scope="module", params=sorted(p.stem for p in SCENARIO_DIR.glob("*.cfg")))
+def shipped_run(request):
+    return _shipped_run(SCENARIO_DIR / f"{request.param}.cfg")
+
+
+@pytest.fixture(scope="module")
+def reference_config_run():
+    return _shipped_run(SCENARIO_DIR / "reference.cfg")
+
+
+def _extra_state(which: str) -> pw.InitialState:
+    nl = pw.cubic()
+    bump = pw.PolynomialBump(nl.F(0.5), 1.0)
+    if which == "velocity_bump":
+        phi, pi = pw.RadialProfile(bump=bump), pw.RadialProfile(bump=pw.PolynomialBump(0.2, 1.5))
+    elif which == "tail_phi":
+        # the state of test_independent_of_quadrature_radius
+        phi = pw.RadialProfile(bump=bump, tail=0.7)
+        pi = pw.RadialProfile(bump=pw.PolynomialBump(0.2, 0.8))
+    else:
+        # knots inside and outside the cutoff band, support past it
+        spline = pw.SplineBump.from_points(
+            [0.0, 0.4, 0.9, 1.3, 2.6], [nl.F(0.5), 0.1, -0.05, 0.02, 0.0]
+        )
+        phi, pi = pw.RadialProfile(bump=spline), pw.RadialProfile()
+    return pw.make_initial_state(phi, pi, 0.5, 0.3, nl)
+
+
+class TestEnergyLedger:
+    """H from the characteristic identity against the independent radial audit."""
+
+    def test_gate_on_shipped_configs(self, shipped_run):
+        s, state, hist, H0 = (shipped_run[k] for k in ("s", "state", "history", "H0"))
+        times = sorted({*(t for t in s.energy_times if 0.0 < t <= s.t_final), s.t_final})
+        ledger = energy_ledger(state, hist, [0.0, *times])
+        audit = [energy(state, hist, t, s.quad_radius, quad_tol=1e-13).total for t in times]
+        assert abs(ledger.total[0] - energy(state, hist, 0.0, s.quad_radius, 1e-13).total) <= 1e-14
+        assert np.max(np.abs(ledger.total[1:] - audit)) <= 1e-12 * max(1.0, abs(H0))
+
+    @pytest.mark.parametrize("which", ["velocity_bump", "tail_phi", "spline_phi"])
+    def test_gate_on_kinked_data(self, which):
+        # rows inside the data support exercise the kink panels and their subdivision
+        state = _extra_state(which)
+        H0 = energy(state, None, 0.0, quad_tol=1e-13).total
+        trunc = pw.build_truncation(state.nl, amplitude_bound(state.nl, H0))
+        hist = pw.integrate(state, trunc, pw.ODEConfig(t_final=4.0))
+        ts = np.array([0.0, 0.37, 1.5, 2.6, 4.0])
+        ledger = energy_ledger(state, hist, ts)
+        audit = np.array([H0] + [energy(state, hist, t, quad_tol=1e-13).total for t in ts[1:]])
+        assert abs(ledger.total[0] - H0) <= 1e-14
+        assert np.max(np.abs(ledger.total - audit)) <= 1e-12 * max(1.0, abs(H0))
+
+    def test_sparse_history_nodes(self, ref_state):
+        # four nodes, none inside the cutoff band [1, 2]: the panels there come
+        # from the data alone.  Both sides are the energy of the field this
+        # history assembles, conserved or not.
+        ts = np.array([0.0, 0.7, 2.3, 3.0])
+        hist = ZetaHistory(
+            times=ts, values=0.5 + 0.3 * np.sin(ts), derivs=0.3 * np.cos(ts), Lambda_used=10.0
+        )
+        rows = np.array([0.5, 1.5, 2.0, 2.9])
+        ledger = energy_ledger(ref_state, hist, rows)
+        audit = [energy(ref_state, hist, t, quad_tol=1e-13).total for t in rows]
+        assert np.max(np.abs(ledger.total - audit)) <= 1e-12
+
+    def test_radiation_mechanism(self, reference_config_run):
+        # after the source expires the incoming part is gone and the potential
+        # U(zeta) is radiated: the re-emitted part grows by int zeta'^2 / 4pi
+        state, hist = reference_config_run["state"], reference_config_run["history"]
+        t_s = hist.source_expiry
+        assert t_s == 2.0
+        ts = np.array([t_s, 3.0, 5.0, 10.0, 20.0, hist.horizon])
+        ledger = energy_ledger(state, hist, ts)
+        assert np.all(ledger.incoming == 0.0)
+        # zeta(t_s) is within 1e-3 of q = 1: U(zeta(t_s)) - U(q) = 1e-7, far above the bound below
+        assert ledger.reemitted[-1] - ledger.reemitted[0] > 1e-8
+        x, w = np.polynomial.legendre.leggauss(3)  # exact for the quartic zeta'^2
+        for i in range(len(ts) - 1):
+            for j in range(i + 1, len(ts)):
+                t1, t2 = ts[i], ts[j]
+                inner = hist.times[(hist.times > t1) & (hist.times < t2)]
+                edges = np.concatenate(([t1], inner, [t2]))
+                mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+                zd = zeta_at(hist, mid[:, None] + half[:, None] * x)[1]
+                radiated = float(np.sum(half * (zd**2 @ w))) / FOUR_PI
+                assert abs(ledger.reemitted[j] - ledger.reemitted[i] - radiated) <= 1e-12
+                assert abs(ledger.potential[i] - ledger.potential[j] - radiated) <= 1e-12
+
+    def test_parts_add_up(self, ref_run):
+        ledger = energy_ledger(ref_run["state"], ref_run["history"], np.linspace(0.0, 12.0, 7))
+        assert np.array_equal(
+            ledger.total, ledger.incoming + ledger.outgoing + ledger.reemitted + ledger.potential
+        )
+        assert ledger.reemitted[0] == 0.0
+        assert np.all(ledger.outgoing == ledger.outgoing[0])
+
+    def test_beyond_horizon(self, ref_run):
+        with pytest.raises(HistoryHorizonError):
+            energy_ledger(ref_run["state"], ref_run["history"], [1.0, 12.5])
+
+    def test_velocity_tail_rejected(self):
+        from pointwave.initial_data import InitialState, RadialProfile, ZERO_PROFILE
+
+        state = InitialState(
+            phi_c=ZERO_PROFILE,
+            pi_c=RadialProfile(tail=1.0),
+            zeta0=1.0,
+            zeta_dot0=1.0,
+            nl=pw.cubic(),
+        )
+        with pytest.raises(ValueError, match="velocity tail"):
+            energy_ledger(state, linear_history(), [0.0, 1.0])
+
+
+def test_artifact_path_audits_only(tmp_path, monkeypatch):
+    # zeta.csv's H comes from the ledger; energy() runs only at H0 and the audits
+    s = load_config(SCENARIO_DIR / "reference.cfg")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return energy(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "energy", counted)
+    res = run_scenario(s, tmp_path / "a")
+    audits = {t for t in s.energy_times if 0.0 < t <= s.t_final} | {s.t_final}
+    assert len(calls) == 1 + len(audits) == 6
+    text = (tmp_path / "a" / "zeta.csv").read_text(encoding="utf-8")
+    rows = np.array([[float(v) for v in line.split(",")] for line in text.splitlines()[1:]])
+    ledger = energy_ledger(res.state, res.history, np.linspace(0.0, s.t_final, s.csv_rows))
+    assert np.array_equal(rows[:, 0], ledger.t)
+    assert np.array_equal(rows[:, 5], ledger.total)
+    run_scenario(s, tmp_path / "b")
+    assert (tmp_path / "b" / "zeta.csv").read_bytes() == text.encode("utf-8")
 
 
 class TestDistance:
