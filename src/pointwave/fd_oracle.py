@@ -45,6 +45,11 @@ from .field_assembly import psi_total
 from .free_wave import reduction
 
 
+# radii per psi_total call in compare: the field and zeta_at's dozen
+# temporaries on all 32,767 radii at once peaked at 4.0 MiB, 1.5 MiB in blocks
+COMPARE_BLOCK = 4096
+
+
 class OracleError(RuntimeError):
     """Grid construction or boundary Newton solve failed, the grid step is
     too coarse for a unique boundary root, or a snapshot time is out of range."""
@@ -230,7 +235,9 @@ def compare(
     j_max = min(int(round(R / h)), len(r) - 1)
     rr = r[1 : j_max + 1]
     psi_or = u[1 : j_max + 1] / rr
-    psi_sa = psi_total(state, history, rr, t).psi
+    psi_sa = np.empty_like(rr)
+    for i in range(0, len(rr), COMPARE_BLOCK):
+        psi_sa[i : i + COMPARE_BLOCK] = psi_total(state, history, rr[i : i + COMPARE_BLOCK], t).psi
     w = rr * rr
     num = float(np.sum(w * (psi_sa - psi_or) ** 2))
     den = float(np.sum(w * psi_sa**2))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pointwave as pw
+import pointwave.field_assembly as field_assembly
 import pointwave.runner as runner
 from pointwave.field_assembly import (
     HistoryHorizonError,
@@ -18,6 +19,7 @@ from pointwave.field_assembly import (
 )
 from pointwave.free_wave import lambda_at
 from pointwave.initial_data import FOUR_PI
+from pointwave.quadrature import MAX_DEPTH
 from pointwave.runner import amplitude_bound, build_state, run_scenario
 from pointwave.scenario import load_config
 from pointwave.zeta_dynamics import ZetaHistory, zeta_at
@@ -325,6 +327,36 @@ class TestEnergyLedger:
         )
         with pytest.raises(ValueError, match="velocity tail"):
             energy_ledger(state, linear_history(), [0.0, 1.0])
+
+
+def test_energy_audit_calls_the_integrand_once_per_level(
+    reference_config_run, monkeypatch, scalar_quadrature
+):
+    # every panel refines in the same integrand calls: the call count is bounded
+    # by the depth, not the panel count, and the points are the scalar oracle's
+    state, hist = reference_config_run["state"], reference_config_run["history"]
+    assemble, calls = field_assembly._assemble, []
+
+    def counted(state, history, r, t):
+        calls.append(np.size(r))
+        return assemble(state, history, r, t)
+
+    monkeypatch.setattr(field_assembly, "_assemble", counted)
+    H = energy(state, hist, 20.0)
+    engine_calls, engine_points = len(calls), sum(calls)
+    calls.clear()
+    panels = []
+
+    def scalar(f, breakpoints, tol):
+        panels.append(len(breakpoints) - 1)
+        return scalar_quadrature(f, breakpoints, tol)
+
+    monkeypatch.setattr(field_assembly, "integrate_panels", scalar)
+    H_scalar = energy(state, hist, 20.0)
+    assert engine_calls <= MAX_DEPTH + 2 < len(calls)
+    assert panels[0] > 1
+    assert engine_points == sum(calls)
+    assert H == H_scalar
 
 
 def test_artifact_path_audits_only(tmp_path, monkeypatch):
