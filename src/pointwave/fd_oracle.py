@@ -45,8 +45,9 @@ from .field_assembly import psi_total
 from .free_wave import reduction
 
 
-# radii per psi_total call in compare: the field and zeta_at's dozen
-# temporaries on all 32,767 radii at once peaked at 4.0 MiB, 1.5 MiB in blocks
+# radii per psi_total call in compare: the field and zeta_at's quintic
+# temporaries on all 32,767 radii at once peaked at 5.5 MiB, 1.5 MiB in blocks
+# (tracemalloc)
 COMPARE_BLOCK = 4096
 
 

@@ -58,9 +58,10 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 # equal pieces per panel between data kinks: on reference one panel over the
 # cutoff band puts 3.4e-5 on H, 8 pieces 3.3e-11, 16 or more the ODE's 3.4e-13
 DATA_SUBPANELS = 128
-# panels per vectorized block: zeta_at's dozen temporaries on every point at
-# once peaked at 4.9 MiB on quintic_attraction, 0.7 MiB in blocks of 512
-PANEL_BLOCK = 512
+# panels per vectorized block: zeta_at's quintic temporaries (about twenty
+# arrays) on every point at once peaked at 2.1 MiB on quintic_attraction,
+# 0.59 MiB in blocks of 448 (tracemalloc)
+PANEL_BLOCK = 448
 
 
 class HistoryHorizonError(ValueError):

@@ -18,7 +18,8 @@ sharp-support check), and local_seminorm differentiates psi_f by stencils.
 The origin trace lambda(t) = d_r u_f(0, t), the source of the reduced
 oscillator equation, is assembled analytically in scalar form: the ODE loop
 calls it once per stage, where an array call would cost far more than the
-formula.
+formula.  lambda_prime_at is its derivative in the same form, for the exact
+zeta'' the ODE stores at every node.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .cutoff import R_OUTER, chi, chi_arr, chi_integral, chi_prime, chi_prime_arr
+from .cutoff import R_OUTER, chi, chi_arr, chi_integral, chi_prime, chi_prime_arr, chi_second
 from .initial_data import FOUR_PI, ZERO_PROFILE, InitialState
 from .quadrature import integrate_panels, split_points
 
@@ -63,8 +65,9 @@ class OddReduction:
         """Radii in (lo, hi) where the field at time t is not smooth: the cones of the kinks."""
         return {c for k in self.kinks for c in (t - k, t + k, k - t) if lo < c < hi}
 
-    @property
+    @cached_property
     def support_time(self) -> float:
+        """Time from which the origin trace is the constant alpha_pi / 4pi."""
         return max(R_OUTER, self.phi_bump.support_radius, self.pi_bump.support_radius)
 
     def u0(self, s: np.ndarray) -> np.ndarray:
@@ -171,6 +174,24 @@ def lambda_at(state: InitialState, t: float) -> float:
         + t * red.phi_bump.d1(t)
         + t * red.pi_bump.value(t)
     )
+
+
+def lambda_prime_at(state: InitialState, t: float) -> float:
+    """Time derivative of lambda_at, term by term:
+
+        lambda'(t) = [(zeta0 - alpha_phi) chi''(t) + (zeta_dot0 - alpha_pi) chi'(t)] / 4pi
+                     + 2 phi_bump'(t) + t phi_bump''(t) + pi_bump(t) + t pi_bump'(t)
+
+    Exactly 0 from the support time on, where lambda is constant.
+    """
+    red = reduction(state)
+    if t >= red.support_time:
+        return 0.0
+    phi, pi = red.phi_bump, red.pi_bump
+    point_part = (
+        (red.zeta0 - red.alpha_phi) * chi_second(t) + (red.zeta_dot0 - red.alpha_pi) * chi_prime(t)
+    ) / FOUR_PI
+    return point_part + 2.0 * phi.d1(t) + t * phi.d2(t) + pi.value(t) + t * pi.d1(t)
 
 
 def lambda_trace(state: InitialState, t: float) -> float:

@@ -24,9 +24,10 @@ number.  Lists are comma-separated.  Keys and defaults:
     ode.max_step              additional step cap               [inf]
     quad.tol                  quadrature tolerance              [1e-12]
     quad.radius               energy ball ("auto" = t + support + 1)
-    report.energy_times       comma floats                      [1,5,10,20]
+    report.energy_times       comma floats; times set here past
+                              T warn (TimesPastHorizonWarning)  [1,5,10,20]
     report.csv_rows           rows in zeta.csv                  [201]
-    snapshot.times            comma floats                      []
+    snapshot.times            comma floats; as energy_times     []
     snapshot.r_max            snapshot grid radius ("auto")
     snapshot.points           snapshot grid size                [401]
     oracle.enabled            true | false                      [false]
@@ -44,12 +45,17 @@ number.  Lists are comma-separated.  Keys and defaults:
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 
 class ConfigError(ValueError):
     pass
+
+
+class TimesPastHorizonWarning(UserWarning):
+    """Energy or snapshot times set past the horizon T; the run drops them."""
 
 
 @dataclass(frozen=True)
@@ -209,6 +215,19 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> Scenario:
         raise ConfigError("missing required key 'name'")
     scenario = Scenario(**values)
     _validate(scenario, base_dir)
+    # only times the config sets: the default energy times outrun a short T
+    for key, attr in (
+        ("report.energy_times", "energy_times"),
+        ("snapshot.times", "snapshot_times"),
+    ):
+        late = [t for t in values.get(attr, ()) if t > scenario.t_final]
+        if late:
+            warnings.warn(
+                f"{key}: {', '.join(f'{t:g}' for t in late)} past ode.t_final = "
+                f"{scenario.t_final:g}, dropped",
+                TimesPastHorizonWarning,
+                stacklevel=2,
+            )
     return scenario
 
 

@@ -1,12 +1,19 @@
 """Reduced dynamics of the point amplitude: zeta' = 4 pi (lambda(t) - F(zeta)).
 
-Integrated with an adaptive embedded Dormand-Prince 5(4) pair whose step is
-capped at the pair's real stability boundary (see step_cap).  Accepted steps
-store the exact right-hand side, giving a C1 cubic Hermite dense output;
+Integrated with an adaptive embedded Dormand-Prince 5(4) pair.  Every
+accepted node stores zeta, zeta' and the exact zeta'' = 4 pi (lambda'(t) -
+F~'(zeta) zeta'), so the dense output is the quintic Hermite interpolant: C2,
+with local error O(dt^6) (Hairer, Norsett, Wanner, Solving ODEs I, II.6).
 zeta_at is its one evaluator, for one time or for the array of retarded
-times a field evaluation needs.  The a priori amplitude bound is monitored:
-an accepted node outside [-Lambda, Lambda] aborts the run (it would mean the
-truncated force differed from the true one along the trajectory).
+times a field evaluation needs.  A step is accepted when both DP5's embedded
+error and the defect of the candidate quintic are within tolerance; the
+defect is the residual of the equation at the stage times 3/10 and 8/9,
+where the stages already hold lambda.  The step is capped at the pair's real
+stability boundary for the global Lipschitz constant, and once the source
+has expired by the slope on the interval the flow still crosses (see
+step_cap).  The a priori amplitude bound is monitored: an accepted node
+outside [-Lambda, Lambda] aborts the run (it would mean the truncated force
+differed from the true one along the trajectory).
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from .free_wave import lambda_at, reduction
+from .free_wave import lambda_at, lambda_prime_at, reduction
 from .initial_data import FOUR_PI, InitialState
 from .nonlinearity import Nonlinearity, TruncatedNonlinearity
 
@@ -48,29 +55,46 @@ class ODEConfig:
 # z* > 0 with R(-z*) = 1, R(z) = sum_{k<=5} z^k / k! + z^6 / 600 the stability
 # function of DP5 (Hairer, Norsett, Wanner, Solving ODEs I, II.4)
 DP5_REAL_BOUNDARY = 3.3065678926349467
+# a point strictly inside (0, z*): R(-3) = 0.565, so a step at this bound
+# contracts onto a rest state; at z* it is neutral there
+DP5_CONTRACTIVE = 3.0
+# F~' samples per settling interval in step_cap
+_SPAN_SAMPLES = 257
 
 
-def step_cap(trunc: TruncatedNonlinearity) -> float:
-    """z* / (4 pi L), L the Lipschitz constant of F~ (at least its curvature floor).
+def step_cap(trunc: TruncatedNonlinearity, span: tuple[float, float] | None = None) -> float:
+    """Largest step the DP5 pair takes safely on zeta' = 4 pi (c - F~(zeta)).
 
-    Near a rest state q of zeta' = 4 pi (c - F~(zeta)) a step multiplies zeta - q
-    by R(-dt 4 pi F~'(q)), and 0.173 <= R <= 1 on [-z*, 0]: no capped step
-    overshoots q or moves away from it.  Past z*, R > 1 and steps move away.
+    Near a rest state q a step multiplies zeta - q by R(-dt 4 pi F~'(q)), and
+    0.173 <= R <= 1 on [-z*, 0]: no step within z* / (4 pi L), L the
+    Lipschitz constant of F~ (at least its curvature floor), overshoots q or
+    moves away from it.  Past z*, R > 1 and steps move away.
+
+    That global cap holds while the source acts.  Once it has expired the
+    flow is monotone and stays in the span between its value and its limit q,
+    so the cap is DP5_CONTRACTIVE / (4 pi max F~') with the maximum sampled on
+    that span, and never below the global cap.
     """
-    return DP5_REAL_BOUNDARY / (FOUR_PI * trunc.lipschitz_constant)
+    cap = DP5_REAL_BOUNDARY / (FOUR_PI * trunc.lipschitz_constant)
+    if span is None:
+        return cap
+    slope = max(trunc.F_prime(z) for z in np.linspace(*span, _SPAN_SAMPLES).tolist())
+    return max(cap, DP5_CONTRACTIVE / (FOUR_PI * slope)) if slope > 0.0 else cap
 
 
 @dataclass(eq=False)
 class ZetaHistory:
-    """Dense trajectory with exact node derivatives and C1 Hermite interpolation.
+    """Dense trajectory: nodes with exact zeta, zeta' and zeta'', read by zeta_at.
 
-    source_expiry is the time t_s from which the source is known to be the
-    constant source_limit, or None when that is not known.
+    zeta_at is the quintic Hermite interpolant of the nodes, so the history
+    is C2 in time.  source_expiry is the time t_s from which the source is
+    known to be the constant source_limit, or None when that is not known.
     """
 
     times: np.ndarray
     values: np.ndarray
     derivs: np.ndarray
+    second: np.ndarray
     Lambda_used: float
     truncation_activated: bool = False
     source_expiry: float | None = None
@@ -87,6 +111,28 @@ class ZetaHistory:
 def rhs(trunc: TruncatedNonlinearity, zeta: float, lam: float) -> float:
     """Right-hand side 4 pi (lambda - F~(zeta)) of the reduced equation."""
     return FOUR_PI * (lam - trunc.F(zeta))
+
+
+def _hermite5(x, h, y0, y1, d0, d1, s0, s1) -> tuple:
+    """Quintic Hermite (z, z') at x = (s - t0) / h in [0, 1] of one node interval.
+
+    (y, d, s) are the value and first and second derivatives at the ends.
+    Anchored at the nearer end, so x = 0 gives y0, d0, x = 1 gives y1, d1
+    and constant data gives the constant, all exactly.  Numbers or arrays.
+    """
+    u = 1.0 - x
+    x2, u2 = x * x, u * u
+    near = x >= 0.5
+    z = np.where(near, y1, y0) + (y1 - y0) * (x2 * x * (1.0 + 3.0 * u + 6.0 * u2) - near)
+    z += (h * x * u) * (
+        u2 * (d0 * (1.0 + 3.0 * x) + 0.5 * h * x * s0)
+        - x2 * (d1 * (1.0 + 3.0 * u) - 0.5 * h * u * s1)
+    )
+    zd = u2 * (d0 * (1.0 + 2.0 * x - 15.0 * x2) + h * x * (1.0 - 2.5 * x) * s0)
+    zd += x2 * (
+        d1 * (1.0 + 2.0 * u - 15.0 * u2) - h * u * (1.0 - 2.5 * u) * s1 + 30.0 * u2 * (y1 - y0) / h
+    )
+    return z, zd
 
 
 # Dormand-Prince 5(4) tableau
@@ -109,6 +155,12 @@ _E = (
     22 / 525,
     -1 / 40,
 )
+# weights of (y0, y1, h d0, h d1, h^2 s0, h^2 s1) in z and of (y0 / h, y1 / h,
+# d0, d1, h s0, h s1) in z' at the stage times 3/10 and 8/9 of the defect; the
+# y0 and y1 weights of z' are opposite
+_DEFECT_WEIGHTS = tuple(
+    tuple(tuple(w.tolist()) for w in _hermite5(x, 1.0, *np.eye(6))) for x in (_C[2], _C[4])
+)
 
 
 def integrate_source(
@@ -116,53 +168,87 @@ def integrate_source(
     zeta0: float,
     source: Callable[[float], float],
     cfg: ODEConfig,
+    source_prime: Callable[[float], float] | None = None,
+    source_expiry: float | None = None,
+    source_limit: float = 0.0,
 ) -> ZetaHistory:
-    """Integrate the reduced equation with an explicit source term lambda(t)."""
+    """Integrate the reduced equation with an explicit source term lambda(t).
+
+    source_prime is lambda'; None declares a constant source.  A wrong
+    derivative costs steps, not accuracy: the defect estimate sees it, and
+    as it is then O(dt^2) rather than O(dt^6), the steps become very short.
+    source_expiry and source_limit declare that lambda = source_limit from
+    source_expiry on; they are stored on the history, and the first node
+    from then on sets the post-expiry step cap.
+    """
     lam_bound = trunc.Lambda
+    F, F_prime = trunc.F, trunc.F_prime
     cap = min(cfg.max_step, step_cap(trunc))
     t_end = cfg.t_final
+    expiry = math.inf if source_expiry is None else source_expiry
+    dsource = source_prime or (lambda t: 0.0)
 
-    ts = [0.0]
-    ys = [zeta0]
     touched_truncation = abs(zeta0) > lam_bound
-
-    k1 = rhs(trunc, zeta0, source(0.0))
-    ds = [k1]
     t, y = 0.0, zeta0
+    k1 = FOUR_PI * (source(0.0) - F(y))
+    s0 = FOUR_PI * (dsource(0.0) - F_prime(y) * k1)
+    ts, ys, ds, ss = [t], [y], [k1], [s0]
     dt = cap / 10.0
     min_step = max(t_end * 1e-15, 1e-300)
-    ks = [0.0] * 7
+
+    # the tableau and the defect weights as locals, for the written-out stages
+    c2, c3, c4, c5 = _C[1:5]
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54) = _A[1:5]
+    (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6) = _A[5:]
+    e1, _, e3, e4, e5, e6, e7 = _E
+    ((p0, p1, p2, p3, p4, p5), (_, v1, v2, v3, v4, v5)) = _DEFECT_WEIGHTS[0]
+    ((q0, q1, q2, q3, q4, q5), (_, w1, w2, w3, w4, w5)) = _DEFECT_WEIGHTS[1]
 
     while t < t_end:
+        if t >= expiry:
+            expiry = math.inf
+            cap = min(cfg.max_step, step_cap(trunc, _settling_span(trunc, y, source_limit)))
         dt = min(dt, cap, t_end - t)
         if dt < min_step:
             raise IntegrationError(f"step size underflow at t = {t}")
-        ks[0] = k1
-        for i in range(1, 7):
-            yi = y + dt * sum(_A[i][j] * ks[j] for j in range(i))
-            if abs(yi) > lam_bound:
-                touched_truncation = True
-            ks[i] = rhs(trunc, yi, source(t + _C[i] * dt))
-        y_new = y + dt * sum(_A[6][j] * ks[j] for j in range(6))
-        err = dt * sum(_E[j] * ks[j] for j in range(7))
-        # dense-output (cubic Hermite) error estimate: third divided difference
-        # of the stage slopes approximates the fourth derivative of zeta
-        d01 = (ks[2] - ks[0]) / 0.3
-        d12 = (ks[3] - ks[2]) / 0.5
-        d23 = (ks[6] - ks[3]) / 0.2
-        d012 = (d12 - d01) / 0.8
-        d123 = (d23 - d12) / 0.7
-        err_dense = dt * abs(d123 - d012) / 64.0  # dt^4 |zeta''''| / 384, dt-scaled
+        y2 = y + dt * (a21 * k1)
+        k2 = FOUR_PI * (source(t + c2 * dt) - F(y2))
+        y3 = y + dt * (a31 * k1 + a32 * k2)
+        lam3 = source(t + c3 * dt)
+        k3 = FOUR_PI * (lam3 - F(y3))
+        y4 = y + dt * (a41 * k1 + a42 * k2 + a43 * k3)
+        k4 = FOUR_PI * (source(t + c4 * dt) - F(y4))
+        y5 = y + dt * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
+        lam5 = source(t + c5 * dt)
+        k5 = FOUR_PI * (lam5 - F(y5))
+        y6 = y + dt * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)
+        k6 = FOUR_PI * (source(t + dt) - F(y6))
+        y_new = y + dt * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
+        k7 = FOUR_PI * (source(t + dt) - F(y_new))
+        if max(abs(y2), abs(y3), abs(y4), abs(y5), abs(y6), abs(y_new)) > lam_bound:
+            touched_truncation = True
+        err = dt * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
+        # defect of the candidate quintic at the stage times 3/10 and 8/9
+        s1 = FOUR_PI * (dsource(t + dt) - F_prime(y_new) * k7)
+        hd0, hd1, h2s0, h2s1 = dt * k1, dt * k7, dt * dt * s0, dt * dt * s1
+        z3 = p0 * y + p1 * y_new + p2 * hd0 + p3 * hd1 + p4 * h2s0 + p5 * h2s1
+        z5 = q0 * y + q1 * y_new + q2 * hd0 + q3 * hd1 + q4 * h2s0 + q5 * h2s1
+        slope = (y_new - y) / dt
+        zd3 = v1 * slope + v2 * k1 + v3 * k7 + (v4 * s0 + v5 * s1) * dt
+        zd5 = w1 * slope + w2 * k1 + w3 * k7 + (w4 * s0 + w5 * s1) * dt
+        defect = dt * max(
+            abs(zd3 - FOUR_PI * (lam3 - F(z3))), abs(zd5 - FOUR_PI * (lam5 - F(z5)))
+        )
         scale = cfg.abs_tol + cfg.rel_tol * max(abs(y), abs(y_new))
-        ratio = max(abs(err), err_dense) / scale
+        ratio = max(abs(err), defect) / scale
         if ratio <= 1.0:
             # land exactly on the horizon so retarded lookups at t_end succeed
             t = t_end if dt >= t_end - t else t + dt
-            y = y_new
-            k1 = ks[6]  # FSAL
+            y, k1, s0 = y_new, k7, s1  # FSAL
             ts.append(t)
             ys.append(y)
             ds.append(k1)
+            ss.append(s0)
             if abs(y) > lam_bound:
                 raise TruncationEnteredError(
                     f"|zeta({t})| = {abs(y)} exceeds Lambda = {lam_bound}; "
@@ -175,9 +261,28 @@ def integrate_source(
         times=np.array(ts),
         values=np.array(ys),
         derivs=np.array(ds),
+        second=np.array(ss),
         Lambda_used=lam_bound,
         truncation_activated=touched_truncation,
+        source_expiry=source_expiry,
+        source_limit=source_limit,
     )
+
+
+def _settling_span(
+    trunc: TruncatedNonlinearity, z: float, c: float
+) -> tuple[float, float] | None:
+    """(z, q): the span the flow zeta' = 4 pi (c - F~) crosses from z to its limit q.
+
+    q is bracketed as detect_limit does; None when there is none in [-Lambda, Lambda].
+    """
+
+    def g(x: float) -> float:
+        return c - trunc.F(x)
+
+    direction = float(np.sign(g(z)))
+    q = _first_zero(g, z, direction, trunc.Lambda) if direction else z
+    return (z, q) if math.isfinite(q) else None
 
 
 def integrate(state: InitialState, trunc: TruncatedNonlinearity, cfg: ODEConfig) -> ZetaHistory:
@@ -186,15 +291,20 @@ def integrate(state: InitialState, trunc: TruncatedNonlinearity, cfg: ODEConfig)
     By strong Huygens support lambda_at is alpha_pi / 4 pi from the support
     time on; both are stored on the history for detect_limit.
     """
-    history = integrate_source(trunc, state.zeta0, lambda t: lambda_at(state, t), cfg)
     red = reduction(state)
-    history.source_expiry = red.support_time
-    history.source_limit = red.alpha_pi / FOUR_PI
-    return history
+    return integrate_source(
+        trunc,
+        state.zeta0,
+        lambda t: lambda_at(state, t),
+        cfg,
+        source_prime=lambda t: lambda_prime_at(state, t),
+        source_expiry=red.support_time,
+        source_limit=red.alpha_pi / FOUR_PI,
+    )
 
 
 def zeta_at(history: ZetaHistory, s: np.ndarray) -> tuple:
-    """Cubic Hermite interpolation of (zeta, zeta') at times s in [0, horizon].
+    """Quintic Hermite interpolation of (zeta, zeta') at times s in [0, horizon].
 
     Floats for a number s, arrays of its shape for an array s.
     """
@@ -204,23 +314,8 @@ def zeta_at(history: ZetaHistory, s: np.ndarray) -> tuple:
         raise ValueError(f"time {s} outside the history horizon [0, {ts[-1]}]")
     i = np.clip(np.searchsorted(ts, s_arr, side="right") - 1, 0, len(ts) - 2)
     h = ts[i + 1] - ts[i]
-    x = (s_arr - ts[i]) / h
-    y0, y1 = history.values[i], history.values[i + 1]
-    d0, d1 = history.derivs[i], history.derivs[i + 1]
-    x2 = x * x
-    x3 = x2 * x
-    z = (
-        (2 * x3 - 3 * x2 + 1) * y0
-        + (x3 - 2 * x2 + x) * h * d0
-        + (-2 * x3 + 3 * x2) * y1
-        + (x3 - x2) * h * d1
-    )
-    zd = (
-        (6 * x2 - 6 * x) * y0 / h
-        + (3 * x2 - 4 * x + 1) * d0
-        + (-6 * x2 + 6 * x) * y1 / h
-        + (3 * x2 - 2 * x) * d1
-    )
+    ys, ds, ss = history.values, history.derivs, history.second
+    z, zd = _hermite5((s_arr - ts[i]) / h, h, ys[i], ys[i + 1], ds[i], ds[i + 1], ss[i], ss[i + 1])
     if s_arr.ndim == 0:
         return float(z), float(zd)
     return z, zd

@@ -30,7 +30,13 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 def linear_history(T=3.0):
     """Synthetic trajectory zeta(s) = s with exact derivatives."""
     ts = np.linspace(0.0, T, 31)
-    return ZetaHistory(times=ts, values=ts.copy(), derivs=np.ones_like(ts), Lambda_used=10.0)
+    return ZetaHistory(
+        times=ts,
+        values=ts.copy(),
+        derivs=np.ones_like(ts),
+        second=np.zeros_like(ts),
+        Lambda_used=10.0,
+    )
 
 
 def test_green_values():
@@ -53,7 +59,13 @@ class TestPsiSingular:
 
     def test_constant_history(self):
         ts = np.linspace(0.0, 4.0, 11)
-        hist = ZetaHistory(times=ts, values=np.full(11, 0.8), derivs=np.zeros(11), Lambda_used=2.0)
+        hist = ZetaHistory(
+            times=ts,
+            values=np.full(11, 0.8),
+            derivs=np.zeros(11),
+            second=np.zeros(11),
+            Lambda_used=2.0,
+        )
         us, usd = u_singular(hist, 0.5, 2.0)
         assert us == pytest.approx(0.8 / FOUR_PI, rel=1e-14)
         assert usd == 0.0
@@ -92,6 +104,7 @@ class TestPsiTotal:
             times=np.linspace(0, 5, 6),
             values=np.zeros(6),
             derivs=np.zeros(6),
+            second=np.zeros(6),
             Lambda_used=1.0,
         )
         fs = psi_total(state, hist, 0.8, 2.0)
@@ -187,6 +200,23 @@ class TestEnergy:
             assert abs(wide - tight) < 1e-12
             assert abs(tight - H0) < 1e-8
 
+    def test_independent_of_quadrature_radius_at_default_tol(self):
+        # the same state at the default quad_tol: the C2 history leaves no
+        # node-cone kinks in the retarded region, so the all-zero panel of the
+        # wider ball moves H by round-off only (6.2e-13 with a C1 history)
+        nl = pw.cubic()
+        phi = pw.RadialProfile(bump=pw.PolynomialBump(nl.F(0.5), 1.0), tail=0.7)
+        pi = pw.RadialProfile(bump=pw.PolynomialBump(0.2, 0.8))
+        state = pw.make_initial_state(phi, pi, 0.5, 0.3, nl)
+        H0 = energy(state, None, 0.0).total
+        trunc = pw.build_truncation(nl, amplitude_bound(nl, H0))
+        hist = pw.integrate(state, trunc, pw.ODEConfig(t_final=8.0))
+        for t in (0.0, 1.0, 4.0, 8.0):
+            R = t + state.support_radius
+            tight = energy(state, hist, t, R_quad=R).total
+            wide = energy(state, hist, t, R_quad=R + 5.0).total
+            assert abs(wide - tight) <= 1e-13
+
     def test_radius_too_small(self, ref_run):
         with pytest.raises(ValueError):
             energy(ref_run["state"], ref_run["history"], 5.0, R_quad=3.0)
@@ -273,7 +303,11 @@ class TestEnergyLedger:
         # history assembles, conserved or not.
         ts = np.array([0.0, 0.7, 2.3, 3.0])
         hist = ZetaHistory(
-            times=ts, values=0.5 + 0.3 * np.sin(ts), derivs=0.3 * np.cos(ts), Lambda_used=10.0
+            times=ts,
+            values=0.5 + 0.3 * np.sin(ts),
+            derivs=0.3 * np.cos(ts),
+            second=-0.3 * np.sin(ts),
+            Lambda_used=10.0,
         )
         rows = np.array([0.5, 1.5, 2.0, 2.9])
         ledger = energy_ledger(ref_state, hist, rows)
@@ -291,7 +325,7 @@ class TestEnergyLedger:
         assert np.all(ledger.incoming == 0.0)
         # zeta(t_s) is within 1e-3 of q = 1: U(zeta(t_s)) - U(q) = 1e-7, far above the bound below
         assert ledger.reemitted[-1] - ledger.reemitted[0] > 1e-8
-        x, w = np.polynomial.legendre.leggauss(3)  # exact for the quartic zeta'^2
+        x, w = np.polynomial.legendre.leggauss(5)  # exact for the degree-8 zeta'^2
         for i in range(len(ts) - 1):
             for j in range(i + 1, len(ts)):
                 t1, t2 = ts[i], ts[j]

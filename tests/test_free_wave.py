@@ -9,6 +9,7 @@ from pointwave.free_wave import (
     dispersive_batch,
     dispersive_eval,
     lambda_at,
+    lambda_prime_at,
     lambda_trace,
     local_seminorm,
     psi_G_eval,
@@ -238,6 +239,42 @@ class TestLambdaTrace:
             return float(np.max(np.abs(np.diff(vals))))
 
         assert max_jump(4000) < 0.5 * max_jump(1000)
+
+
+def _lambda_prime_state(which):
+    nl = pw.cubic()
+    if which == "polynomial":
+        phi, pi = PolynomialBump(nl.F(0.5), 1.0), PolynomialBump(0.2, 1.5)
+        return pw.make_initial_state(RadialProfile(bump=phi), RadialProfile(bump=pi), 0.5, 0.3, nl)
+    if which == "spline":
+        phi = pw.SplineBump.from_points(
+            [0.0, 0.4, 0.9, 1.3, 2.6], [nl.F(0.5), 0.1, -0.05, 0.02, 0.0]
+        )
+        pi = pw.SplineBump.from_points([0.0, 0.7, 1.6, 2.2, 3.1], [0.3, -0.2, 0.1, 0.05, 0.0])
+        return pw.make_initial_state(RadialProfile(bump=phi), RadialProfile(bump=pi), 0.5, 0.3, nl)
+    phi = RadialProfile(bump=PolynomialBump(nl.F(0.5), 1.0), tail=0.7)
+    return pw.make_initial_state(phi, RadialProfile(bump=PolynomialBump(0.2, 0.8)), 0.5, 0.3, nl)
+
+
+class TestLambdaPrime:
+    @pytest.mark.parametrize("which", ["polynomial", "spline", "tail_phi"])
+    def test_matches_centred_difference(self, which):
+        state = _lambda_prime_state(which)
+        red = reduction(state)
+        ts = np.linspace(0.01, red.support_time - 0.01, 389)
+        # off the kinks, where the spline's second derivative jumps
+        ts = ts[np.min(np.abs(ts[:, None] - np.array(red.kinks)), axis=1) > 1e-3]
+        h = 1e-5
+        for t in ts.tolist():
+            diff = (lambda_at(state, t + h) - lambda_at(state, t - h)) / (2.0 * h)
+            assert lambda_prime_at(state, t) == pytest.approx(diff, abs=1e-7)
+
+    @pytest.mark.parametrize("which", ["polynomial", "spline", "tail_phi"])
+    def test_zero_from_support_time(self, which):
+        state = _lambda_prime_state(which)
+        t_s = reduction(state).support_time
+        for t in (t_s, t_s + 1e-9, t_s + 0.5, 50.0):
+            assert lambda_prime_at(state, t) == 0.0
 
 
 class TestCutoffSingularPart:

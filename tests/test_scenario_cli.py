@@ -3,12 +3,13 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from pointwave.runner import run_scenario
-from pointwave.scenario import ConfigError, parse_config
+from pointwave.scenario import ConfigError, TimesPastHorizonWarning, parse_config
 
 MINIMAL = """
 name = stationary_demo
@@ -75,6 +76,19 @@ class TestParse:
         # psi_t ~ tail_pi/(4 pi r) is not square-integrable: infinite energy
         with pytest.raises(ConfigError, match="tail_pi = 0.5: .*infinite kinetic energy"):
             parse_config(MINIMAL + "data.tail_pi = 0.5\n")
+
+    def test_times_past_horizon_warn(self):
+        with pytest.warns(TimesPastHorizonWarning, match=r"energy_times: 9 past ode.t_final = 5,"):
+            s = parse_config(MINIMAL + "report.energy_times = 1, 9\n")
+        assert s.energy_times == (1.0, 9.0)
+        with pytest.warns(TimesPastHorizonWarning, match=r"snapshot.times: 6, 7.5 past"):
+            parse_config(MINIMAL + "snapshot.times = 2, 5, 6, 7.5\n")
+
+    def test_default_times_past_horizon_silent(self):
+        # the defaults 10 and 20 exceed T = 5 but the config did not ask for them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parse_config(MINIMAL).energy_times == (1.0, 5.0, 10.0, 20.0)
 
     def test_reversed_negates_velocities(self):
         s = parse_config(LINEAR_SHORT)

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 import pointwave as pw
+from pointwave.field_assembly import distance_to_stationary, energy
 from pointwave.initial_data import FOUR_PI
+from pointwave.runner import amplitude_bound
 from pointwave.zeta_dynamics import (
+    DP5_CONTRACTIVE,
     DP5_REAL_BOUNDARY,
     _A,
     ODEConfig,
@@ -109,10 +112,108 @@ def test_zeta_at_constant_history():
         times=np.linspace(0.0, 2.0, 21),
         values=np.full(21, 0.7),
         derivs=np.zeros(21),
+        second=np.zeros(21),
         Lambda_used=1.0,
     )
     for s in (0.0, 0.37, 1.999):
         assert zeta_at(hist, s) == (0.7, 0.0)
+
+
+def test_quintic_reproduces_degree_five_polynomials():
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        p = np.polynomial.Polynomial(rng.normal(size=6))
+        ts = np.sort(np.concatenate(([0.0, 2.0], rng.uniform(0.0, 2.0, 9))))
+        hist = ZetaHistory(
+            times=ts, values=p(ts), derivs=p.deriv()(ts), second=p.deriv(2)(ts), Lambda_used=10.0
+        )
+        s = np.linspace(0.0, 2.0, 1001)
+        z, zd = zeta_at(hist, s)
+        scale = max(1.0, float(np.max(np.abs(p(s)))))
+        assert np.max(np.abs(z - p(s))) <= 1e-14 * scale
+        assert np.max(np.abs(zd - p.deriv()(s))) <= 1e-13 * scale
+
+
+def test_history_is_c2_at_nodes(ref_run):
+    # on each node interval zeta_at is a quintic: fitted from interior samples,
+    # its value, slope and curvature at both ends are the node data, so
+    # zeta, zeta' and zeta'' are continuous across every node
+    hist = ref_run["history"]
+    x = 0.5 - 0.5 * np.cos(np.pi * (np.arange(6) + 0.5) / 6)  # interior Chebyshev points
+    for i in np.linspace(0, len(hist.times) - 2, 40).astype(int):
+        t0, h = hist.times[i], hist.times[i + 1] - hist.times[i]
+        z, zd = zeta_at(hist, t0 + h * x)
+        pz = np.polynomial.Polynomial.fit(x, z, 5, domain=[0, 1], window=[0, 1])
+        pd = np.polynomial.Polynomial.fit(x, zd, 4, domain=[0, 1], window=[0, 1])
+        for end, j in ((0.0, i), (1.0, i + 1)):
+            assert pz(end) == pytest.approx(hist.values[j], abs=1e-14)
+            assert pd(end) == pytest.approx(hist.derivs[j], abs=1e-13)
+            assert pd.deriv()(end) == pytest.approx(h * hist.second[j], abs=1e-13)
+
+
+def test_node_second_derivative_is_the_equation(ref_run, ref_state):
+    # zeta'' = 4 pi (lambda' - F'(zeta) zeta') at every node, lambda' included
+    from pointwave.free_wave import lambda_prime_at
+
+    hist = ref_run["history"]
+    nl = ref_state.nl
+    for i in range(0, len(hist.times), 37):
+        t, z, zd = hist.times[i], hist.values[i], hist.derivs[i]
+        expected = FOUR_PI * (lambda_prime_at(ref_state, t) - nl.F_prime(z) * zd)
+        assert hist.second[i] == pytest.approx(expected, rel=1e-14, abs=1e-14)
+
+
+def _reference_run(zeta0, t_final, rel_tol=1e-11):
+    nl = pw.cubic()
+    bump = pw.PolynomialBump(amplitude=nl.F(zeta0), support_radius=1.0)
+    state = pw.make_initial_state(pw.RadialProfile(bump=bump), pw.RadialProfile(), zeta0, 0.3, nl)
+    trunc = pw.build_truncation(nl, amplitude_bound(nl, energy(state, None, 0.0).total))
+    cfg = ODEConfig(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2, t_final=t_final)
+    return state, pw.integrate(state, trunc, cfg)
+
+
+def test_drift_follows_tolerance():
+    # criterion 02's setup: a 10x tighter tolerance lowers the energy drift
+    # by more than 5x (about 11.6x), so the step control follows rel_tol; at
+    # rel_tol = 1e-10 the drift is 7.5e-11 (1.9e-9 without the defect estimate)
+    def drift(rel_tol):
+        state, hist = _reference_run(0.5, 20.0, rel_tol)
+        H0 = energy(state, None, 0.0, quad_tol=1e-13).total
+        return max(
+            abs(energy(state, hist, t, quad_tol=1e-13).total - H0) for t in (1.0, 5.0, 10.0, 20.0)
+        ) / abs(H0)
+
+    assert drift(1e-10) <= 2e-10
+    assert drift(1e-12) <= drift(1e-11) / 5.0
+
+
+def test_defect_estimate_guards_a_wrong_derivative(linear_trunc):
+    # zeta' = 4 pi (sin 3t - zeta): declaring the source constant gives every
+    # node a wrong zeta''; the defect at the stage times shrinks the steps
+    # until the interpolant is as accurate as with the true derivative
+    a, w = FOUR_PI, 3.0
+
+    def exact(t):
+        return (1.0 + a * w / (a * a + w * w)) * np.exp(-a * t) + a * (
+            a * np.sin(w * t) - w * np.cos(w * t)
+        ) / (a * a + w * w)
+
+    cfg = ODEConfig(rel_tol=1e-6, abs_tol=1e-8, t_final=2.0)
+    s = np.linspace(0.0, 2.0, 20001)
+    steps = {}
+    for name, prime in (("true", lambda t: w * math.cos(w * t)), ("constant", None)):
+        hist = integrate_source(linear_trunc, 1.0, lambda t: math.sin(w * t), cfg, prime)
+        assert np.max(np.abs(zeta_at(hist, s)[0] - exact(s))) <= 1e-6
+        steps[name] = len(hist.times) - 1
+    assert steps["constant"] > 10 * steps["true"]
+
+
+def test_attraction_to_round_off_over_scalings():
+    # the post-expiry cap contracts onto q = 1 rather than stalling near it:
+    # at a cap on the stability boundary itself d(50) stayed near 3e-13
+    for zeta0 in 0.5 * np.linspace(0.95, 1.05, 11):
+        state, hist = _reference_run(float(zeta0), 50.0)
+        assert distance_to_stationary(state, hist, 50.0, 1.0, 2.0)[0] <= 1e-15
 
 
 def test_monotone_trapping_between_roots(cubic_trunc):
@@ -146,9 +247,25 @@ def test_truncation_entered_raises(ref_state):
 
 
 def test_step_cap_enforced(ref_run):
-    hist = ref_run["history"]
-    cap = step_cap(ref_run["trunc"])
-    assert float(np.max(np.diff(hist.times))) <= cap + 1e-12
+    # the global cap while the source acts; from the first node at or past
+    # t_s the cap of the span [zeta there, q] the monotone flow crosses, where
+    # max F~' = F'(1) = 2 < L relaxes it
+    hist, trunc = ref_run["history"], ref_run["trunc"]
+    k = int(np.searchsorted(hist.times, hist.source_expiry))
+    steps = np.diff(hist.times)
+    settling = step_cap(trunc, (float(hist.values[k]), 1.0))
+    assert settling == pytest.approx(DP5_CONTRACTIVE / (FOUR_PI * 2.0), rel=1e-12)
+    assert settling > 2.0 * step_cap(trunc)
+    assert float(np.max(steps[:k])) <= step_cap(trunc) + 1e-12
+    assert float(np.max(steps[k:])) <= settling * (1.0 + 1e-12)
+    assert float(np.max(steps[k:])) > step_cap(trunc)
+
+
+def test_step_cap_never_below_global(cubic_trunc):
+    # a span up to +-Lambda has the global slope L: the global cap stands
+    assert step_cap(cubic_trunc, (0.0, cubic_trunc.Lambda)) == step_cap(cubic_trunc)
+    # a span where F~' <= 0 sets no cap of its own
+    assert step_cap(cubic_trunc, (-0.5, 0.5)) == step_cap(cubic_trunc)
 
 
 def test_step_cap_boundary_is_the_tableau_root():
@@ -167,6 +284,8 @@ def test_step_cap_boundary_is_the_tableau_root():
     values = np.array([R(z) for z in np.linspace(-z_star, 0.0, 401)])
     assert values.min() > 0.0
     assert values.max() <= 1.0 + 1e-12
+    # the post-expiry bound contracts strictly, without overshoot
+    assert 0.0 < R(-DP5_CONTRACTIVE) == pytest.approx(0.565, abs=1e-12)
 
 
 def test_detect_limit_stationary(stationary_run):
@@ -227,6 +346,7 @@ def test_detect_limit_flags_oscillation():
         times=ts,
         values=0.5 * np.sin(ts),
         derivs=0.5 * np.cos(ts),
+        second=-0.5 * np.sin(ts),
         Lambda_used=2.0,
         source_expiry=20.0,
     )
