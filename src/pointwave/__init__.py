@@ -41,7 +41,6 @@ from .nonlinearity import (
     Nonlinearity,
     TruncatedNonlinearity,
     build_truncation,
-    check_confining,
     cubic,
     from_coefficients,
     lambda_bound,

@@ -4,11 +4,16 @@
     pointwave suite <dir> [--out DIR]
 
 `run` executes one scenario config and writes zeta.csv, field_t*.csv and
-report.json under DIR/<name>; the exit code is 0 iff every enabled check
-passed.  A negative --T requests backward time, which is run as the documented
-time reversal (same data with the velocity part negated).  `suite` runs every
-*.cfg in a directory (PW_THREADS caps the worker count) and prints a summary
-table; exit code 0 iff all scenarios pass.
+report.json under DIR/<name>.  A negative --T requests backward time, which
+is run as the documented time reversal (same data with the velocity part
+negated).  `suite` runs every *.cfg in a directory (PW_THREADS caps the
+worker count) and prints one row per scenario and a summary line.
+
+A scenario that raises a domain error (a ValueError or RuntimeError) gets
+the row `<name>: ERROR <Type>: <message>`, on stderr for `run`; the rest of
+a suite still runs.  Exit codes: 0 every enabled check passed, 1 a check
+failed, 2 a config error (or no *.cfg for `suite`), 3 a scenario raised;
+`suite` exits with the largest code of its scenarios.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from pathlib import Path
 
 from .runner import run_scenario
 from .scenario import ConfigError, Scenario, load_config
+
+EXIT_OK, EXIT_FAILED, EXIT_CONFIG, EXIT_RAISED = 0, 1, 2, 3
 
 
 def _apply_overrides(s: Scenario, args) -> Scenario:
@@ -41,20 +48,32 @@ def _apply_overrides(s: Scenario, args) -> Scenario:
     return s
 
 
-def _run_one(config_path: Path, out_root: Path, args=None) -> tuple[str, dict, bool, tuple[str, ...]]:
+def _error_row(name: str, exc: Exception) -> str:
+    return f"{name}: ERROR {type(exc).__name__}: {' '.join(str(exc).split())}"
+
+
+def _run_one(config_path: Path, out_root: Path, args=None) -> tuple[int, str]:
+    """Exit code and summary rows of one config; a ConfigError propagates."""
     scenario = load_config(config_path)
     if args is not None:
         scenario = _apply_overrides(scenario, args)
-    result = run_scenario(scenario, out_root / scenario.name, base_dir=config_path.parent)
-    return scenario.name, result.report.to_json_dict(), result.ok, result.failures
+    try:
+        result = run_scenario(scenario, out_root / scenario.name, base_dir=config_path.parent)
+    except (ValueError, RuntimeError) as exc:
+        return EXIT_RAISED, _error_row(scenario.name, exc)
+    rows = _report_rows(scenario.name, result.report.to_json_dict(), result.ok, result.failures)
+    return (EXIT_OK if result.ok else EXIT_FAILED), rows
 
 
-def _suite_worker(payload: tuple[str, str]) -> tuple[str, dict, bool, tuple[str, ...]]:
-    config_path, out_root = payload
-    return _run_one(Path(config_path), Path(out_root))
+def _suite_worker(payload: tuple[str, str]) -> tuple[int, str]:
+    config_path = Path(payload[0])
+    try:
+        return _run_one(config_path, Path(payload[1]))
+    except ConfigError as exc:
+        return EXIT_CONFIG, _error_row(config_path.stem, exc)
 
 
-def _print_report(name: str, report: dict, ok: bool, failures: tuple[str, ...]) -> None:
+def _report_rows(name: str, report: dict, ok: bool, failures: tuple[str, ...]) -> str:
     def fmt(v):
         if v is None:
             return "-"
@@ -64,14 +83,13 @@ def _print_report(name: str, report: dict, ok: bool, failures: tuple[str, ...]) 
             return f"{v:.3e}"
         return str(v)
 
-    print(
+    row = (
         f"{name}: q_plus={fmt(report['q_plus'])} converged={fmt(report['converged'])} "
         f"drift={fmt(report['energy_drift_rel'])} margin={fmt(report['lambda_margin'])} "
         f"huygens={fmt(report['huygens_max_abs'])} oracle={fmt(report['oracle_rel_l2'])} "
         f"[{'PASS' if ok else 'FAIL'}]"
     )
-    for msg in failures:
-        print(f"  - {msg}")
+    return "\n".join([row, *(f"  - {msg}" for msg in failures)])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -93,14 +111,14 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "run":
-            name, report, ok, failures = _run_one(args.config, args.out, args)
-            _print_report(name, report, ok, failures)
-            return 0 if ok else 1
+            code, rows = _run_one(args.config, args.out, args)
+            print(rows, file=sys.stderr if code == EXIT_RAISED else sys.stdout)
+            return code
 
         configs = sorted(args.directory.glob("*.cfg"))
         if not configs:
             print(f"no *.cfg files in {args.directory}", file=sys.stderr)
-            return 2
+            return EXIT_CONFIG
         workers = int(os.environ.get("PW_THREADS", "0")) or min(4, os.cpu_count() or 1)
         payloads = [(str(c), str(args.out)) for c in configs]
         if workers > 1 and len(configs) > 1:
@@ -108,15 +126,13 @@ def main(argv: list[str] | None = None) -> int:
                 results = list(pool.map(_suite_worker, payloads))
         else:
             results = [_suite_worker(p) for p in payloads]
-        all_ok = True
-        for name, report, ok, failures in results:
-            _print_report(name, report, ok, failures)
-            all_ok = all_ok and ok
-        print(f"suite: {sum(1 for *_, ok, _f in results if ok)}/{len(results)} passed")
-        return 0 if all_ok else 1
+        for _, rows in results:
+            print(rows)
+        print(f"suite: {sum(code == EXIT_OK for code, _ in results)}/{len(results)} passed")
+        return max(code for code, _ in results)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

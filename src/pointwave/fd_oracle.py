@@ -26,9 +26,8 @@ The boundary value u0 solves g(u0) = (-3 u0 + 4 u1 - u2)/(2h) - F~(4 pi u0)
 = 0 at each step.  g is strictly decreasing, so the root is unique, when
 min F~' > -3/(8 pi h); init_grid refuses a grid step that breaks this rather
 than let the solve pick one of several roots.  min F~' is the truncation's
-min_slope, taken from a 2001-point sample of F' (exact for the shipped
-polynomial forces, whose minimiser zeta = 0 is a sample point; only as good
-as the sample for other forces).
+min_slope, decided from the coefficients of F (the window ends and the real
+roots of F''), so the refusal is exact.
 """
 
 from __future__ import annotations

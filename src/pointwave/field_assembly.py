@@ -272,7 +272,7 @@ def energy_ledger(state: InitialState, history: ZetaHistory, ts: np.ndarray) -> 
     prefix = np.append(0.0, np.cumsum(_gauss_panels(r_edges, lambda s: answered(s) ** 2)))
     reemitted = math.pi * prefix[np.searchsorted(r_edges, ts)]
 
-    potential = np.array([state.nl.eval(float(z))[0] for z in zeta_at(history, ts)[0]])
+    potential = state.nl.U(zeta_at(history, ts)[0])
     return EnergyLedger(
         t=ts,
         incoming=incoming,

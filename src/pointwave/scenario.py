@@ -6,7 +6,8 @@ number.  Lists are comma-separated.  Keys and defaults:
 
     name                      scenario label (required)
     nonlinearity.kind         cubic | linear | quintic | poly   [cubic]
-    nonlinearity.coefficients comma floats, constant first (poly only)
+    nonlinearity.coefficients comma floats, constant first (poly only;
+                              odd degree, positive lead: U confining)
     data.kind                 bump | stationary | spline        [bump]
     data.q                    rest amplitude (stationary only)
     data.amplitude            bump amplitude; "auto" = F(zeta0) [auto]
@@ -48,6 +49,8 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+from .nonlinearity import from_coefficients
 
 
 class ConfigError(ValueError):
@@ -241,6 +244,11 @@ def _validate(s: Scenario, base_dir: str | Path | None) -> None:
         raise ConfigError(f"unknown nonlinearity kind {s.nonlinearity_kind!r}")
     if s.nonlinearity_kind == "poly" and not s.coefficients:
         raise ConfigError("poly nonlinearity needs nonlinearity.coefficients")
+    if s.nonlinearity_kind == "poly" and not from_coefficients(s.coefficients).confining:
+        raise ConfigError(
+            f"nonlinearity.coefficients = {', '.join(f'{c:g}' for c in s.coefficients)}: "
+            "U is not confining; F needs odd degree and a positive leading coefficient"
+        )
     if s.tail_pi != 0.0:
         raise ConfigError(
             f"data.tail_pi = {s.tail_pi!r}: a velocity tail psi_t ~ tail_pi/(4 pi r) "

@@ -1,6 +1,7 @@
 import ast
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from pointwave.initial_data import (
     RadialProfile,
     ZERO_PROFILE,
 )
-from pointwave.nonlinearity import Nonlinearity
 from pointwave.zeta_dynamics import zeta_at
 
 
@@ -236,14 +236,10 @@ def test_compare_stationary_machine_exact(stationary_run):
 
 
 def test_newton_failure_reports():
-    # F' reaches about -1e6, far below -3/(8 pi h) = -0.477 at h = 0.25: the
-    # boundary equation has many roots, so the oracle must refuse the grid and
-    # name the step that would make the root unique
-    wild = Nonlinearity(
-        U=lambda z: -1.0 * math.cos(1e3 * z),
-        F=lambda z: 1e3 * math.sin(1e3 * z),
-        F_prime=lambda z: 1e6 * math.cos(1e3 * z),
-    )
+    # F = z^3 - 1e6 z has min F' = F'(0) = -1e6, far below -3/(8 pi h) = -0.477
+    # at h = 0.25: the boundary equation has several roots, so the oracle must
+    # refuse the grid and name the step that would make the root unique
+    wild = pw.from_coefficients([0.0, -1e6, 0.0, 1.0])
     state = InitialState(
         phi_c=ZERO_PROFILE, pi_c=ZERO_PROFILE, zeta0=1.0, zeta_dot0=0.8, nl=wild
     )
@@ -253,15 +249,15 @@ def test_newton_failure_reports():
 
 
 def test_boundary_solve_bracket_stops_newton_cycling():
-    # F = 1e3 atan(z) is monotone (min F' = 0.4 on the window), but plain
-    # Newton from a saturated guess overshoots without end; the slope bracket
-    # brings it back to the unique root u0 = 0
-    sat = Nonlinearity(
-        U=lambda z: 1e3 * (z * math.atan(z) - 0.5 * math.log1p(z * z)),
+    # F = 1e3 atan(z) is monotone (min F' = 0.4 on the window [-50, 50]), but
+    # plain Newton from a saturated guess overshoots without end; the slope
+    # bracket brings it back to the unique root u0 = 0.  No polynomial
+    # saturates, so the force is a stub with the attributes _robin_solve reads
+    trunc = SimpleNamespace(
         F=lambda z: 1e3 * math.atan(z),
         F_prime=lambda z: 1e3 / (1.0 + z * z),
+        min_slope=1e3 / (1.0 + 50.0**2),
     )
-    trunc = pw.build_truncation(sat, 50.0)
     assert trunc.min_slope > 0.0
     for guess in (0.3, 1.0, 3.0):
         assert fd_oracle._robin_solve(trunc, 0.0, 0.0, 1.0, guess) == pytest.approx(0.0, abs=1e-15)

@@ -1,16 +1,17 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pointwave.nonlinearity import (
+    CURVATURE_FLOOR,
     EnergyLevelError,
     EvaluationDomainError,
     NonConfiningError,
-    Nonlinearity,
+    _real_roots,
     build_truncation,
-    check_confining,
     cubic,
     from_coefficients,
     lambda_bound,
@@ -18,6 +19,14 @@ from pointwave.nonlinearity import (
     make_nonlinearity,
     quintic,
 )
+
+
+def exact_U(nl, z: float) -> Fraction:
+    """U at z in rational arithmetic, from the coefficients the package evaluates."""
+    acc = Fraction(0)
+    for c in nl._u:
+        acc = acc * Fraction(z) + Fraction(c)
+    return acc
 
 
 def test_eval_examples():
@@ -50,10 +59,12 @@ def test_catalog_lookup():
 
 
 def test_check_confining():
-    assert check_confining(cubic())
-    assert check_confining(linear())
-    inverted = Nonlinearity(U=lambda z: -z * z, F=lambda z: -2 * z, F_prime=lambda z: -2.0)
-    assert not check_confining(inverted)
+    # decided from the coefficients: F of odd degree with a positive lead
+    assert cubic().confining and linear().confining and quintic().confining
+    assert from_coefficients([0.0, 1.0, 0.0, 0.0]).confining  # zero leads dropped: F = z
+    assert not from_coefficients([0.0, -2.0]).confining  # U = -z^2
+    assert not from_coefficients([0.0, 0.0, 1.0]).confining  # U = z^3 / 3
+    assert not from_coefficients([0.0]).confining
 
 
 def test_lambda_bound_examples():
@@ -74,9 +85,10 @@ def test_lambda_bound_monotone_in_energy():
 def test_lambda_bound_errors():
     with pytest.raises(EnergyLevelError):
         lambda_bound(cubic(), -1.0)  # below min U = -1/4
-    inverted = Nonlinearity(U=lambda z: -z * z, F=lambda z: -2 * z, F_prime=lambda z: -2.0)
     with pytest.raises(NonConfiningError):
-        lambda_bound(inverted, 1.0)
+        lambda_bound(from_coefficients([0.0, -2.0]), 1.0)  # U = -z^2
+    # the level U(1) = -1/4 of the cubic's minimum is attained: one multiple root each side
+    assert lambda_bound(cubic(), -0.25) == 1.0
 
 
 def test_truncation_identity_inside_window():
@@ -129,8 +141,70 @@ def test_truncated_potential_exceeds_energy_level():
 
 
 def test_truncation_floor_keeps_growth():
-    # force with zero curvature at the junction still gets a growing continuation
+    # F' = 3 z^2 is 0.75 at the junction +-0.5, below the floor: the
+    # continuation takes the floor as its slope and still grows
     flatish = from_coefficients([0.0, 0.0, 0.0, 1.0])  # F = z^3, inflection at 0
-    tr = build_truncation(flatish, 1.0, curvature_floor=1.0)
-    assert tr.U(5.0) > tr.U(1.0)
-    assert tr.F_prime(5.0) >= 1.0
+    tr = build_truncation(flatish, 0.5)
+    assert tr.F_prime(5.0) == tr.F_prime(-5.0) == CURVATURE_FLOOR
+    assert tr.U(5.0) > tr.U(0.5)
+    assert tr.U(-5.0) > tr.U(-0.5)
+
+
+def test_real_roots_simple_and_multiple():
+    # (z - 1)^2 (z + 2) = z^3 - 3 z + 2: the double root once, from F'
+    assert _real_roots((1.0, 0.0, -3.0, 2.0)) == [-2.0, 1.0]
+    # z^2 + 1 has none; z^3 - 2 has the cube root of 2 to adjacent floats
+    assert _real_roots((1.0, 0.0, 1.0)) == []
+    (r,) = _real_roots((1.0, 0.0, 0.0, -2.0))
+    assert abs(r - 2.0 ** (1.0 / 3.0)) <= math.ulp(r)
+    # quintic F'' = 20 z^3: a triple root at 0
+    assert _real_roots((20.0, 0.0, 0.0, 0.0)) == [0.0]
+
+
+def test_min_slope_is_exact():
+    # F = z (z - 1)^2: F' = 3 z^2 - 4 z + 1 has its minimum -1/3 at z = 2/3,
+    # between grid samples; a 2001-point sample gave -0.333332
+    tr = build_truncation(make_nonlinearity("poly", [0.0, 1.0, -2.0, 1.0]), 3.0)
+    assert tr.min_slope == pytest.approx(-1.0 / 3.0, abs=1e-15)
+    assert tr.lipschitz_constant == 40.0  # F'(-3)
+
+
+def test_rest_point_follows_the_flow():
+    nl = make_nonlinearity("poly", [0.0, 1.0, -2.0, 1.0])  # F = z (z - 1)^2
+    # from 2 the flow falls onto the tangent root 1, where F - c does not change sign
+    assert nl.rest_point(2.0, 0.0, 5.0) == 1.0
+    assert nl.rest_point(0.5, 0.0, 5.0) == 0.0
+    assert nl.rest_point(-1.0, 0.0, 5.0) == 0.0
+    assert nl.rest_point(1.0, 0.0, 5.0) == 1.0
+    # c = 0.1 < F(1/3) = 4/27, the local maximum: from 0.5 the flow falls to
+    # the middle root of F - c; c = 0.2 > 4/27: it rises past 1
+    q = nl.rest_point(0.5, 0.1, 5.0)
+    assert 0.0 < q < 1.0 / 3.0 and abs(nl.F(q) - 0.1) <= 1e-15
+    q = nl.rest_point(0.5, 0.2, 5.0)
+    assert q > 1.0 and abs(nl.F(q) - 0.2) <= 1e-15
+    assert math.isnan(nl.rest_point(0.5, 0.2, 1.0))  # outside the bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1, 3, 5]),
+    st.lists(st.floats(-4.0, 4.0), min_size=5, max_size=5),
+    st.floats(0.0625, 4.0),
+    st.floats(-3.0, 3.0),
+)
+def test_lambda_bound_is_the_exact_outer_root(degree, lower, lead, z0):
+    # random confining F (odd degree <= 5, positive lead), level H0 = U(z0)
+    nl = from_coefficients(lower[:degree] + [lead])
+    # a level at a critical value of U makes the sign change degenerate (a
+    # multiple root, counted where U - H0 is within rounding of 0)
+    assume(abs(nl.F(z0)) > 1e-9)
+    H0 = nl.U(z0)
+    lam = lambda_bound(nl, H0)
+    assert exact_U(nl, lam) >= Fraction(H0)
+    assert exact_U(nl, -lam) >= Fraction(H0)
+    for z in lam * (1.0 + np.geomspace(1e-12, 10.0, 25)):
+        assert exact_U(nl, z) > Fraction(H0)
+        assert exact_U(nl, -z) > Fraction(H0)
+    # the side that attains Lambda crosses the level just inside it
+    inner = lam * (1.0 - 1e-12)
+    assert min(exact_U(nl, inner), exact_U(nl, -inner)) <= Fraction(H0)

@@ -90,6 +90,13 @@ class TestParse:
             warnings.simplefilter("error")
             assert parse_config(MINIMAL).energy_times == (1.0, 5.0, 10.0, 20.0)
 
+    def test_non_confining_poly_rejected(self):
+        # U = -z^2 / 2 and U = z^3 / 3 have no bounded sublevel sets
+        for coeffs in ("0, -1", "0, 0, 1"):
+            text = MINIMAL + f"nonlinearity.kind = poly\nnonlinearity.coefficients = {coeffs}\n"
+            with pytest.raises(ConfigError, match=f"coefficients = {coeffs}: U is not confining"):
+                parse_config(text.replace("nonlinearity.kind = cubic\n", ""))
+
     def test_reversed_negates_velocities(self):
         s = parse_config(LINEAR_SHORT)
         r = s.reversed()
@@ -181,15 +188,21 @@ report.csv_rows = 5
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, **env):
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "pointwave", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, **env),
     )
+
+
+# a summary row of a scenario that ran, as perfbench/workload.py reads it
+REPORT_ROW = re.compile(r"^(\S+): q_plus=.* \[(PASS|FAIL)\]$")
+# F(zeta0) = 0.4, so phi_c(0) = 0.3 breaks the origin compatibility condition
+BAD_AMPLITUDE = LINEAR_SHORT.replace("linear_short", "bad_amplitude") + "data.amplitude = 0.3\n"
 
 
 class TestCli:
@@ -215,6 +228,24 @@ class TestCli:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "config error: data.tail_pi = -0.2" in proc.stderr
+
+    def test_run_non_confining_poly_exit_two(self, tmp_path):
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text(
+            MINIMAL.replace("kind = cubic", "kind = poly") + "nonlinearity.coefficients = 0, -1\n"
+        )
+        proc = run_cli("run", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "config error: nonlinearity.coefficients = 0, -1: U is not confining" in proc.stderr
+
+    def test_run_domain_error_exit_three(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(BAD_AMPLITUDE)
+        proc = run_cli("run", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 3, proc.stderr + proc.stdout
+        assert "Traceback" not in proc.stderr
+        assert re.search(r"^bad_amplitude: ERROR CompatibilityError: phi_c\(0\) = 0\.3", proc.stderr)
 
     def test_time_reversal_flag(self, tmp_path):
         cfg = tmp_path / "fwd.cfg"
@@ -257,6 +288,32 @@ class TestCli:
         assert "1/2 passed" in proc.stdout
         assert re.search(r"coarse_oracle: .*\[FAIL\]", proc.stdout)
         assert re.search(r"oracle failed: .*h < 1\.194e-01", proc.stdout)
+
+    def test_suite_survives_domain_error(self, tmp_path):
+        # the raising scenario gets an ERROR row, the other one still runs in
+        # the pool and the summary is printed
+        d = tmp_path / "suite"
+        d.mkdir()
+        (d / "a_stationary.cfg").write_text(MINIMAL)
+        (d / "b_bad.cfg").write_text(BAD_AMPLITUDE)
+        proc = run_cli("suite", str(d), "--out", str(tmp_path / "out"), PW_THREADS="2")
+        assert proc.returncode == 3, proc.stderr + proc.stdout
+        assert "Traceback" not in proc.stderr
+        rows = proc.stdout.splitlines()
+        assert REPORT_ROW.match(rows[0]) and rows[0].startswith("stationary_demo: ")
+        assert rows[1].startswith("bad_amplitude: ERROR CompatibilityError: phi_c(0) = 0.3")
+        assert not REPORT_ROW.match(rows[1])
+        assert rows[2] == "suite: 1/2 passed"
+
+    def test_suite_reports_config_error(self, tmp_path):
+        d = tmp_path / "suite"
+        d.mkdir()
+        (d / "a_stationary.cfg").write_text(MINIMAL)
+        (d / "b_unknown.cfg").write_text("name = x\nwhat = ever\n")
+        proc = run_cli("suite", str(d), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr + proc.stdout
+        assert "b_unknown: ERROR ConfigError: line 2: unknown key 'what'" in proc.stdout
+        assert "suite: 1/2 passed" in proc.stdout
 
     def test_suite_empty_dir(self, tmp_path):
         d = tmp_path / "empty"

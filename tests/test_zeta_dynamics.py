@@ -12,6 +12,7 @@ from pointwave.zeta_dynamics import (
     DP5_CONTRACTIVE,
     DP5_REAL_BOUNDARY,
     _A,
+    IntegrationError,
     ODEConfig,
     TruncationEnteredError,
     ZetaHistory,
@@ -338,6 +339,31 @@ def test_detect_limit_uses_expired_source_value(cubic_trunc):
     assert res.converged
     assert res.q_plus**3 - res.q_plus == pytest.approx(0.1, abs=1e-12)
     assert res.q_plus > 1.0
+
+
+def test_detect_limit_finds_a_tangent_rest_point():
+    # F = z (z - 1)^2 without source from zeta0 = 2: the flow falls onto the
+    # tangent root 1 (zeta(20) = 1.0039), where c - F touches 0 without a sign
+    # change; a doubling search from zeta(T) stepped over it to q = 0
+    nl = pw.make_nonlinearity("poly", [0.0, 1.0, -2.0, 1.0])
+    hist = integrate_source(
+        pw.build_truncation(nl, 3.0), 2.0, lambda t: 0.0, ODEConfig(t_final=20.0),
+        source_expiry=0.0,
+    )
+    assert 1.0 < hist.values[-1] < 1.01
+    res = detect_limit(hist, nl)
+    assert res.converged
+    assert res.q_plus == 1.0
+
+
+def test_attempt_ceiling_stops_a_crawling_run(linear_trunc):
+    # lambda = sin 3t declared constant: at rel_tol 1e-11 the defect estimate
+    # drives dt to 1e-6, which would take millions of steps; the run stops at
+    # ATTEMPTS_PER_CAP = 10,000 attempts per step cap of the horizon (here the
+    # horizon is within one cap) and says where
+    cfg = ODEConfig(t_final=0.25)
+    with pytest.raises(IntegrationError, match=r"10000 attempted steps reached at t = .*, dt = "):
+        integrate_source(linear_trunc, 1.0, lambda t: math.sin(3.0 * t), cfg)
 
 
 def test_detect_limit_flags_oscillation():
