@@ -19,6 +19,7 @@ failed, 2 a config error (or no *.cfg for `suite`), 3 a scenario raised;
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -33,15 +34,15 @@ EXIT_OK, EXIT_FAILED, EXIT_CONFIG, EXIT_RAISED = 0, 1, 2, 3
 
 def _apply_overrides(s: Scenario, args) -> Scenario:
     if args.T is not None:
-        if args.T == 0.0:
-            raise ConfigError("--T must be nonzero")
+        if args.T == 0.0 or not math.isfinite(args.T):
+            raise ConfigError("--T must be finite and nonzero")
         if args.T < 0.0:
             s = replace(s.reversed(), t_final=abs(args.T))
         else:
             s = replace(s, t_final=args.T)
     if args.tol is not None:
-        if args.tol <= 0.0:
-            raise ConfigError("--tol must be positive")
+        if not 0.0 < args.tol < math.inf:
+            raise ConfigError("--tol must be positive and finite")
         s = replace(s, rel_tol=args.tol, abs_tol=args.tol * 1e-2)
     if args.oracle:
         s = replace(s, oracle_enabled=True)

@@ -77,8 +77,9 @@ def _robin_solve(
     lo, hi = -math.inf, math.inf
     x = guess
     for _ in range(50):
-        g = (-3.0 * x + 4.0 * u1 - u2) / (2.0 * h) - trunc.F(FOUR_PI * x)
-        gp = -3.0 / (2.0 * h) - FOUR_PI * trunc.F_prime(FOUR_PI * x)
+        f, fp = trunc.F_and_slope(FOUR_PI * x)
+        g = (-3.0 * x + 4.0 * u1 - u2) / (2.0 * h) - f
+        gp = -3.0 / (2.0 * h) - FOUR_PI * fp
         dx = g / gp
         if abs(dx) <= 1e-15 * (1.0 + abs(x - dx)):
             return x - dx
@@ -123,12 +124,7 @@ def init_grid(
         )
 
     r = np.arange(N + 1) * h
-    u0 = np.empty(N + 1)
-    u0[0] = state.zeta0 / FOUR_PI
-    u0[1:] = [rr * state.psi0(rr) for rr in r[1:]]
-    v0 = np.empty(N + 1)
-    v0[0] = state.zeta_dot0 / FOUR_PI
-    v0[1:] = [rr * state.pi0(rr) for rr in r[1:]]
+    u0, v0 = state.reduced_data(r)
 
     u1 = np.empty(N + 1)
     u1[1:-1] = u0[1:-1] + h * v0[1:-1] + 0.5 * (u0[2:] - 2.0 * u0[1:-1] + u0[:-2])

@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .cutoff import R_OUTER, chi, chi_prime, chi_second
-from .nonlinearity import Nonlinearity
+from .cutoff import R_OUTER, chi, chi_arr, chi_prime, chi_second
+from .nonlinearity import Nonlinearity, _horner
 from .quadrature import integrate_panels, split_points
 
 FOUR_PI = 4.0 * math.pi
@@ -92,11 +91,17 @@ class PolynomialBump:
 
 @dataclass(frozen=True)
 class SplineBump:
-    """Cubic-spline profile from (r, value) samples, clamped flat at both ends."""
+    """Cubic-spline profile from (r, value) samples, clamped flat at both ends.
+
+    The knot slopes solve the clamped spline's tridiagonal system (de Boor,
+    A Practical Guide to Splines, ch. IV); piece i is the cubic sum_k
+    c[k, i] (r - x[i])^(3 - k), evaluated with its derivatives by Horner.
+    """
 
     knots: tuple[float, ...]
     values: tuple[float, ...]
-    _spline: CubicSpline = field(repr=False, compare=False, default=None)
+    _x: np.ndarray = field(repr=False, compare=False, default=None)
+    _c: tuple = field(repr=False, compare=False, default=None)  # value, d1, d2 pieces
 
     @staticmethod
     def from_points(r: Sequence[float], v: Sequence[float]) -> "SplineBump":
@@ -110,9 +115,24 @@ class SplineBump:
             raise ValueError("profile radii must be strictly increasing")
         if v[-1] != 0.0:
             raise ValueError("profile must vanish at its support radius")
-        spline = CubicSpline(r, v, bc_type=((1, 0.0), (1, 0.0)))
+        x, y = np.array(r), np.array(v)
+        h = np.diff(x)
+        slope = np.diff(y) / h
+        # h_i m_{i-1} + 2 (h_{i-1} + h_i) m_i + h_{i-1} m_{i+1} = 3 (h_i s_{i-1} + h_{i-1} s_i),
+        # m_0 = m_n = 0: Thomas elimination, stable on this diagonally dominant system
+        diag, rhs = 2.0 * (h[:-1] + h[1:]), 3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
+        for i in range(1, len(diag)):
+            w = h[i + 1] / diag[i - 1]
+            diag[i] -= w * h[i - 1]
+            rhs[i] -= w * rhs[i - 1]
+        m = np.zeros(len(x))
+        for i in range(len(diag) - 1, -1, -1):
+            m[i + 1] = (rhs[i] - h[i] * m[i + 2]) / diag[i]
+        t = (m[:-1] + m[1:] - 2.0 * slope) / h
+        c = np.array([t / h, (slope - m[:-1]) / h - t, m[:-1], y[:-1]])
         bump = SplineBump(knots=tuple(r), values=tuple(v))
-        object.__setattr__(bump, "_spline", spline)
+        object.__setattr__(bump, "_x", x)
+        object.__setattr__(bump, "_c", (c, c[:3] * [[3.0], [2.0], [1.0]], c[:2] * [[6.0], [2.0]]))
         return bump
 
     @staticmethod
@@ -131,25 +151,25 @@ class SplineBump:
         """The knots, where the third derivative jumps."""
         return self.knots
 
+    def _eval(self, r, nu: int):
+        """nu-th derivative of the spline at r (a number or an array), 0 from the support on."""
+        a = np.minimum(r, self.support_radius)
+        i = np.clip(np.searchsorted(self._x, a, side="right") - 1, 0, len(self._x) - 2)
+        return np.where(r < self.support_radius, _horner(self._c[nu][:, i], a - self._x[i]), 0.0)
+
     def value(self, r: float) -> float:
-        if r >= self.support_radius:
-            return 0.0
-        return float(self._spline(r))
+        return float(self._eval(r, 0))
 
     def d1(self, r: float) -> float:
-        if r >= self.support_radius:
-            return 0.0
-        return float(self._spline(r, 1))
+        return float(self._eval(r, 1))
 
     def d2(self, r: float) -> float:
-        if r >= self.support_radius:
-            return 0.0
-        return float(self._spline(r, 2))
+        return float(self._eval(r, 2))
 
     def _piece_integral(self, i: np.ndarray, u: np.ndarray) -> np.ndarray:
         # int of s p(s) over [x_i, x_i + u]; s p = (u + x_i) p(u) is quartic in u
-        left = self._spline.x[i]
-        c3, c2, c1, c0 = self._spline.c[:, i]
+        left = self._x[i]
+        c3, c2, c1, c0 = self._c[0][:, i]
         return (
             c3 * u**5 / 5.0
             + (c2 + left * c3) * u**4 / 4.0
@@ -159,16 +179,14 @@ class SplineBump:
         )
 
     def value_arr(self, r: np.ndarray) -> np.ndarray:
-        inside = r < self.support_radius
-        return np.where(inside, self._spline(np.minimum(r, self.support_radius)), 0.0)
+        return self._eval(r, 0)
 
     def d1_arr(self, r: np.ndarray) -> np.ndarray:
-        inside = r < self.support_radius
-        return np.where(inside, self._spline(np.minimum(r, self.support_radius), 1), 0.0)
+        return self._eval(r, 1)
 
     def integral_r(self, a: np.ndarray) -> np.ndarray:
         """int_0^a s * bump(s) ds: whole spline pieces by prefix sum, then the partial one."""
-        xs = self._spline.x
+        xs = self._x
         n = len(xs) - 1
         before = np.concatenate(([0.0], np.cumsum(self._piece_integral(np.arange(n), np.diff(xs)))))
         a = np.minimum(np.asarray(a, dtype=float), xs[-1])
@@ -231,10 +249,12 @@ class RadialProfile:
     tail: float = 0.0
 
     def value(self, r: float) -> float:
-        v = self.bump.value(r)
-        if self.tail != 0.0 and r > 1.0:
-            v += self.tail * (1.0 - chi(r)) / (FOUR_PI * r)
-        return v
+        return float(self.value_arr(r))
+
+    def value_arr(self, r: np.ndarray) -> np.ndarray:
+        """Profile at radii r >= 0, tail included; 1 - chi vanishes on r <= 1."""
+        tail = self.tail * (1.0 - chi_arr(r)) / (FOUR_PI * np.maximum(r, 1.0))
+        return self.bump.value_arr(r) + tail
 
     def d1(self, r: float) -> float:
         v = self.bump.d1(r)
@@ -289,17 +309,24 @@ class InitialState:
     def has_tail(self) -> bool:
         return self.phi_c.tail != 0.0 or self.pi_c.tail != 0.0
 
+    def reduced_data(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(r psi0, r pi0) at radii r >= 0: zeta chi / 4 pi + r times the regular
+        profile, with no division by r."""
+        c = chi_arr(r)
+        u0 = self.zeta0 * c / FOUR_PI + r * self.phi_c.value_arr(r)
+        return u0, self.zeta_dot0 * c / FOUR_PI + r * self.pi_c.value_arr(r)
+
     def psi0(self, r: float) -> float:
         """Total initial field at radius r > 0."""
         if r <= 0.0:
             raise ValueError("psi0 defined for r > 0 only")
-        return self.zeta0 * chi(r) / (FOUR_PI * r) + self.phi_c.value(r)
+        return float(self.reduced_data(r)[0]) / r
 
     def pi0(self, r: float) -> float:
         """Total initial velocity at radius r > 0."""
         if r <= 0.0:
             raise ValueError("pi0 defined for r > 0 only")
-        return self.zeta_dot0 * chi(r) / (FOUR_PI * r) + self.pi_c.value(r)
+        return float(self.reduced_data(r)[1]) / r
 
 
 def make_initial_state(

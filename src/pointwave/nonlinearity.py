@@ -267,6 +267,16 @@ class TruncatedNonlinearity:
             return self._c_lo
         return _horner(self.base._fp, zeta)
 
+    def F_and_slope(self, zeta: float) -> tuple[float, float]:
+        """(F~, F~') in one derivative-carrying Horner pass (Higham, Accuracy and
+        Stability of Numerical Algorithms, 5.1); the linear splice past +-Lambda."""
+        if abs(zeta) > self.Lambda:
+            return self.F(zeta), self.F_prime(zeta)
+        f = fp = 0.0
+        for c in self.base._f:
+            f, fp = f * zeta + c, fp * zeta + f
+        return f, fp
+
 
 def build_truncation(nl: Nonlinearity, Lambda: float) -> TruncatedNonlinearity:
     """Quadratic continuation of U past +-Lambda with curvature at least CURVATURE_FLOOR.

@@ -2,7 +2,8 @@
 
 Grammar: one `KEY = VALUE` per line; blank lines and lines starting with `#`
 are ignored; no inline comments.  Unknown keys are rejected with the line
-number.  Lists are comma-separated.  Keys and defaults:
+number.  Numbers must be finite; lists are comma-separated.  Keys and
+defaults:
 
     name                      scenario label (required)
     nonlinearity.kind         cubic | linear | quintic | poly   [cubic]
@@ -22,7 +23,7 @@ number.  Lists are comma-separated.  Keys and defaults:
                               time reversal, see the docstring
                               of pointwave.cli)                 [50.0]
     ode.rel_tol, ode.abs_tol                                    [1e-11, 1e-13]
-    ode.max_step              additional step cap               [inf]
+    ode.max_step              additional step cap               [none]
     quad.tol                  quadrature tolerance              [1e-12]
     quad.radius               energy ball ("auto" = t + support + 1)
     report.energy_times       comma floats; times set here past
@@ -46,6 +47,7 @@ number.  Lists are comma-separated.  Keys and defaults:
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -109,9 +111,12 @@ class Scenario:
 
 def _parse_float(v: str) -> float:
     try:
-        return float(v)
+        x = float(v)
     except ValueError:
         raise ConfigError(f"expected a number, got {v!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"expected a finite number, got {v!r}")
+    return x
 
 
 def _parse_auto_float(v: str) -> float | None:
@@ -261,7 +266,7 @@ def _validate(s: Scenario, base_dir: str | Path | None) -> None:
     for name in (s.phi_file, s.pi_file):
         if name is not None:
             path = Path(base_dir, name) if base_dir is not None else Path(name)
-            if not path.exists():
+            if not os.path.isfile(path):  # False, not OSError, for a name too long
                 raise ConfigError(f"profile file not found: {path}")
 
 

@@ -60,8 +60,22 @@ def test_integral_plateau_values():
 
 @pytest.mark.parametrize("a", [1.2, 1.5, 1.83])
 def test_integral_matches_quad(a):
-    ref, _ = quad(chi, 0.0, a, epsabs=1e-13, limit=200)
-    assert chi_integral(a) == pytest.approx(ref, abs=5e-12)
+    ref, _ = quad(chi, 1.0, a, epsabs=1e-14, epsrel=0.0, limit=200)
+    assert chi_integral(a) == pytest.approx(1.0 + ref, abs=1e-15)
+
+
+def test_band_integral_matches_quad_to_round_off():
+    # cell ends, the band's ends at 1e-9 and random points, against an adaptive reference
+    rng = np.random.default_rng(7)
+    a = np.concatenate((np.linspace(1.0, 2.0, 201)[1:-1], [1.0 + 1e-9, 2.0 - 1e-9], rng.uniform(1.0, 2.0, 100)))
+    ref = [1.0 + quad(chi, 1.0, x, epsabs=1e-14, epsrel=0.0, limit=200)[0] for x in a]
+    assert np.max(np.abs(chi_integral(a) - ref)) <= 1e-15
+
+
+def test_integral_continuous_at_band_ends():
+    assert abs(chi_integral(2.0 - 1e-12) - CHI_INTEGRAL_FULL) <= 1e-15
+    assert abs(chi_integral(np.nextafter(2.0, 0.0)) - CHI_INTEGRAL_FULL) <= 1e-15
+    assert abs(chi_integral(1.0 + 1e-12) - (1.0 + 1e-12)) <= 1e-15
 
 
 def test_vectorized_paths_agree():

@@ -254,8 +254,7 @@ def test_boundary_solve_bracket_stops_newton_cycling():
     # bracket brings it back to the unique root u0 = 0.  No polynomial
     # saturates, so the force is a stub with the attributes _robin_solve reads
     trunc = SimpleNamespace(
-        F=lambda z: 1e3 * math.atan(z),
-        F_prime=lambda z: 1e3 / (1.0 + z * z),
+        F_and_slope=lambda z: (1e3 * math.atan(z), 1e3 / (1.0 + z * z)),
         min_slope=1e3 / (1.0 + 50.0**2),
     )
     assert trunc.min_slope > 0.0

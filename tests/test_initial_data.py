@@ -81,6 +81,23 @@ class TestSplineBump:
     def test_flat_at_origin(self):
         assert self.make().d1(0.0) == pytest.approx(0.0, abs=1e-13)
 
+    @pytest.mark.parametrize("knots", ["uniform", "random"])
+    def test_matches_scipy_clamped_spline(self, knots):
+        from scipy.interpolate import CubicSpline
+
+        if knots == "uniform":
+            r = np.linspace(0.0, 1.3, 9)
+        else:
+            r = np.concatenate(([0.0], np.sort(np.random.default_rng(3).uniform(0.0, 2.0, 48)), [2.0]))
+        v = np.cos(3.0 * r) + 0.1 * r * r
+        v[-1] = 0.0
+        bump = SplineBump.from_points(r, v)
+        ref = CubicSpline(r, v, bc_type=((1, 0.0), (1, 0.0)))
+        x = np.linspace(0.0, r[-1], 1001)[:-1]
+        for got, nu in ((bump.value_arr(x), 0), (bump.d1_arr(x), 1), ([bump.d2(s) for s in x], 2)):
+            want = ref(x, nu)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_integral_matches_quad(self):
         # one array call: inside the first piece, on a knot, mid-piece, at and past the edge
         bump = self.make()

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -7,9 +8,10 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pointwave.runner import run_scenario
-from pointwave.scenario import ConfigError, TimesPastHorizonWarning, parse_config
+from pointwave.scenario import _KEYS, ConfigError, Scenario, TimesPastHorizonWarning, parse_config
 
 MINIMAL = """
 name = stationary_demo
@@ -30,6 +32,12 @@ report.energy_times = 1, 2
 report.csv_rows = 31
 snapshot.times = 1.0
 """
+
+
+def with_line(text: str, line: str) -> str:
+    """The config with `line` in place of any line setting the same key, appended last."""
+    key = line.partition(" = ")[0]
+    return "".join(f"{raw}\n" for raw in text.splitlines() if raw.partition(" = ")[0] != key) + line + "\n"
 
 
 class TestParse:
@@ -96,6 +104,45 @@ class TestParse:
             text = MINIMAL + f"nonlinearity.kind = poly\nnonlinearity.coefficients = {coeffs}\n"
             with pytest.raises(ConfigError, match=f"coefficients = {coeffs}: U is not confining"):
                 parse_config(text.replace("nonlinearity.kind = cubic\n", ""))
+
+    @pytest.mark.parametrize(
+        "line", ["ode.t_final = inf", "data.zeta0 = nan", "data.zeta0 = inf", "snapshot.times = 1, nan"]
+    )
+    def test_non_finite_number_rejected(self, line):
+        key, _, value = line.partition(" = ")
+        bad = value.rsplit(", ", 1)[-1]
+        with pytest.raises(ConfigError, match=f"line 10: {key}: expected a finite number, got '{bad}'"):
+            parse_config(with_line(LINEAR_SHORT, line))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(sorted(_KEYS)), st.text(max_size=12)),
+                st.one_of(
+                    st.sampled_from(["auto", "nan", "-inf", "0", "-1", "1e400", "true", "1, 2", "poly", "spline"]),
+                    st.floats().map(repr),
+                    st.integers().map(str),
+                    st.text(max_size=12),
+                ),
+            ),
+            max_size=8,
+        )
+    )
+    def test_parser_raises_only_config_errors(self, entries):
+        # any text gives a ConfigError or a Scenario with finite numbers, never a traceback
+        text = "name = fuzz\n" + "\n".join(f"{k} = {v}" for k, v in entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TimesPastHorizonWarning)
+            try:
+                s = parse_config(text)
+            except ConfigError:
+                return
+        assert isinstance(s, Scenario)
+        for name, f in Scenario.__dataclass_fields__.items():
+            value = getattr(s, name)
+            for x in value if isinstance(value, tuple) else (value,):
+                assert not isinstance(x, float) or math.isfinite(x) or x == f.default
 
     def test_reversed_negates_velocities(self):
         s = parse_config(LINEAR_SHORT)
@@ -186,6 +233,7 @@ report.csv_rows = 5
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+SHIPPED = SRC.parent / "scenarios"
 
 
 def run_cli(*args, cwd=None, **env):
@@ -246,6 +294,38 @@ class TestCli:
         assert proc.returncode == 3, proc.stderr + proc.stdout
         assert "Traceback" not in proc.stderr
         assert re.search(r"^bad_amplitude: ERROR CompatibilityError: phi_c\(0\) = 0\.3", proc.stderr)
+
+    @pytest.mark.parametrize(
+        "line", ["ode.t_final = inf", "data.zeta0 = nan", "data.zeta0 = inf", "snapshot.times = nan"]
+    )
+    def test_run_non_finite_number_exit_two(self, tmp_path, line):
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text(with_line(LINEAR_SHORT, line))
+        proc = run_cli("run", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr + proc.stdout
+        assert "Traceback" not in proc.stderr
+        assert f"config error: line 10: {line.split(' = ')[0]}: expected a finite number" in proc.stderr
+
+    @pytest.mark.parametrize("flag", [("--T", "inf"), ("--T", "nan"), ("--tol", "nan")])
+    def test_run_non_finite_override_exit_two(self, tmp_path, flag):
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(MINIMAL)
+        proc = run_cli("run", str(cfg), "--out", str(tmp_path / "out"), *flag)
+        assert proc.returncode == 2, proc.stderr + proc.stdout
+        assert f"config error: {flag[0]} must be" in proc.stderr
+
+    def test_runtime_loads_no_scipy(self):
+        # the package runs on numpy alone; scipy is a test-only reference
+        code = (
+            "import sys, pointwave.cli, pointwave.runner\n"
+            "from pointwave.scenario import load_config\n"
+            f"pointwave.runner.run_scenario(load_config({str(SHIPPED / 'reference.cfg')!r}), None)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_time_reversal_flag(self, tmp_path):
         cfg = tmp_path / "fwd.cfg"
