@@ -16,6 +16,7 @@ its singularity.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -151,20 +152,28 @@ class SplineBump:
         """The knots, where the third derivative jumps."""
         return self.knots
 
-    def _eval(self, r, nu: int):
-        """nu-th derivative of the spline at r (a number or an array), 0 from the support on."""
+    def _at(self, r: float, nu: int) -> float:
+        """nu-th derivative at a number r, 0 from the support on; no numpy call per lookup,
+        because the ODE evaluates the profiles at every stage."""
+        if r >= self.support_radius:
+            return 0.0
+        i = max(bisect_right(self.knots, r) - 1, 0)
+        return float(_horner(self._c[nu][:, i], r - self.knots[i]))
+
+    def _eval(self, r: np.ndarray, nu: int) -> np.ndarray:
+        """nu-th derivative on an array of radii, 0 from the support on."""
         a = np.minimum(r, self.support_radius)
         i = np.clip(np.searchsorted(self._x, a, side="right") - 1, 0, len(self._x) - 2)
         return np.where(r < self.support_radius, _horner(self._c[nu][:, i], a - self._x[i]), 0.0)
 
     def value(self, r: float) -> float:
-        return float(self._eval(r, 0))
+        return self._at(r, 0)
 
     def d1(self, r: float) -> float:
-        return float(self._eval(r, 1))
+        return self._at(r, 1)
 
     def d2(self, r: float) -> float:
-        return float(self._eval(r, 2))
+        return self._at(r, 2)
 
     def _piece_integral(self, i: np.ndarray, u: np.ndarray) -> np.ndarray:
         # int of s p(s) over [x_i, x_i + u]; s p = (u + x_i) p(u) is quartic in u
