@@ -22,9 +22,12 @@ and regular_trace read u directly.  The conserved energy is
 because integrating r^2 (d_r psi_reg)^2 by parts leaves u_r^2 plus a
 boundary term at R that cancels the Coulomb-tail integral outside the ball
 exactly (u_r = u_t = 0 there).  R must contain the light cone of the data
-support; no integrand needs a limit at r = 0.
+support.  energy, the independent audit of that integral, and
+distance_to_stationary split [0, R] at the cones of the data kinks and of
+the history nodes, r = t - t_i, between which the retarded part is a
+polynomial in r, and integrate with quadrature.integrate_panels.
 
-energy is the independent audit of that integral.  energy_ledger gives H at
+energy_ledger gives H at
 many times at once from the characteristics of u_tt = u_rr: u_t + u_r
 carries the incoming data D(s) = u0'(s) + v0(s) in from r + t, u_t - u_r
 carries E(s) = v0(s) - u0'(s) out from r - t outside the cone, and
@@ -33,10 +36,12 @@ zeta'(t - r) / 2pi - D(t - r) inside it, where the oscillator has answered
 
     H(t) = pi int_t^oo D^2 + pi int_0^oo E^2 + pi int_0^t (zeta'/2pi - D)^2 dtau + U(zeta(t))
 
-is incoming + outgoing + re-emitted + potential.  dH/dt = zeta' (zeta'/4pi
-+ F(zeta) - D), which the reduced equation makes 0 because lambda(t) = D(t).
-Once the source expires (D = 0 from t_s on) the incoming part is 0 and the
-re-emitted part grows by int zeta'^2 / 4pi, the radiation, as U(zeta) falls.
+is incoming + outgoing + re-emitted + potential, from the same engine's
+per-panel integrals between the data kinks, the nodes and the row times.
+dH/dt = zeta' (zeta'/4pi + F(zeta) - D), which the reduced equation makes 0
+because lambda(t) = D(t).  Once the source expires (D = 0 from t_s on) the
+incoming part is 0 and the re-emitted part grows by int zeta'^2 / 4pi, the
+radiation, as U(zeta) falls.
 """
 
 from __future__ import annotations
@@ -49,19 +54,10 @@ import numpy as np
 # dispersive_eval stays bound because perfbench/tracer.py wraps it by this name
 from .free_wave import check_domain, dispersive_batch, dispersive_eval, reduction  # noqa: F401
 from .initial_data import FOUR_PI, InitialState
-from .quadrature import integrate_panels, split_points
+from .quadrature import integrate_panel, integrate_panels, split_points
 from .zeta_dynamics import ZetaHistory, zeta_at
 
-
-# 8-point Gauss-Legendre nodes and weights on [-1, 1]
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
-# equal pieces per panel between data kinks: on reference one panel over the
-# cutoff band puts 3.4e-5 on H, 8 pieces 3.3e-11, 16 or more the ODE's 3.4e-13
-DATA_SUBPANELS = 128
-# panels per vectorized block: zeta_at's quintic temporaries (about twenty
-# arrays) on every point at once peaked at 2.1 MiB on quintic_attraction,
-# 0.59 MiB in blocks of 448 (tracemalloc)
-PANEL_BLOCK = 448
+LEDGER_TOL = 1e-14
 
 
 class HistoryHorizonError(ValueError):
@@ -169,6 +165,12 @@ def regular_trace(state: InitialState, history: ZetaHistory, t: float) -> float:
     return float(u_r[0])
 
 
+def _breakpoints(state: InitialState, history: ZetaHistory | None, t: float, R: float):
+    """0, R and the radii between on the cones of the data kinks and history nodes."""
+    nodes = history.times if history is not None else np.empty(0)
+    return split_points([*reduction(state).kink_radii(t, 0.0, R), *(t - nodes)], 0.0, R)
+
+
 def _check_finite_energy(state: InitialState) -> None:
     if state.pi_c.tail != 0.0:
         raise ValueError("kinetic energy is infinite for states with a velocity tail")
@@ -199,7 +201,7 @@ def energy(
         (_, u_t, u_r), _ = _assemble(state, history, r, t)
         return 2.0 * math.pi * np.stack([u_t * u_t, u_r * u_r], axis=-1)
 
-    pts = split_points(reduction(state).kink_radii(t, 0.0, R_quad), 0.0, R_quad)
+    pts = _breakpoints(state, history, t, R_quad)
     kinetic, gradient = (float(x) for x in integrate_panels(integrand, pts, quad_tol))
     potential = state.nl.eval(z_now)[0]
     return EnergyReport(
@@ -223,25 +225,18 @@ class EnergyLedger:
     total: np.ndarray
 
 
-def _gauss_panels(edges: np.ndarray, f) -> np.ndarray:
-    """8-point Gauss-Legendre integral of f on each panel between consecutive edges."""
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    out = np.empty_like(half)
-    for i in range(0, len(half), PANEL_BLOCK):
-        block = slice(i, i + PANEL_BLOCK)
-        x = mid[block, None] + half[block, None] * _GL_X
-        out[block] = (f(x) * _GL_W).sum(axis=1) * half[block]
-    return out
+def _panel_integrals(f, edges: np.ndarray) -> np.ndarray:
+    """Integrals of f >= 0 between consecutive edges, to LEDGER_TOL max(1, their sum)."""
+    # one unrefined level sizes the sum, so large data never asks for round-off
+    size = integrate_panel(f, edges[:-1], edges[1:], math.inf).sum()
+    return integrate_panel(f, edges[:-1], edges[1:], LEDGER_TOL * max(1.0, size))[:, 0]
 
 
 def energy_ledger(state: InitialState, history: ZetaHistory, ts: np.ndarray) -> EnergyLedger:
     """The energy at times ts in [0, horizon] from the characteristic identity.
 
-    Panels: the data kinks with DATA_SUBPANELS equal pieces between each pair
-    (the data's own scale, whatever the history's node density), the history
-    nodes and the requested times; one Gauss-Legendre pass and prefix sums
-    give every row.  No panel straddles a kink, a node or a row time.
+    No panel straddles a data kink, a history node or a row time; one
+    quadrature per part and prefix sums give every row.
     """
     _check_finite_energy(state)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -249,9 +244,7 @@ def energy_ledger(state: InitialState, history: ZetaHistory, ts: np.ndarray) -> 
         raise HistoryHorizonError(f"times {ts} outside [0, {history.horizon}]")
     red = reduction(state)
     s_end = red.support_time
-    kinks = np.array(sorted({k for k in red.kinks if k < s_end} | {s_end}))
-    frac = np.arange(DATA_SUBPANELS) / DATA_SUBPANELS
-    data = np.append(kinks[:-1, None] + np.diff(kinks)[:, None] * frac, s_end)
+    data = np.array(sorted({k for k in red.kinks if k < s_end} | {s_end}))
 
     def D(s: np.ndarray) -> np.ndarray:
         return red.u0_prime(s) + red.v0(s)
@@ -264,12 +257,12 @@ def energy_ledger(state: InitialState, history: ZetaHistory, ts: np.ndarray) -> 
 
     # the data on [0, support]; the incoming part summed from the far end
     d_edges = np.union1d(data, ts[ts < s_end])
-    suffix = np.cumsum(_gauss_panels(d_edges, lambda s: D(s) ** 2)[::-1])[::-1]
+    suffix = np.cumsum(_panel_integrals(lambda s: D(s) ** 2, d_edges)[::-1])[::-1]
     incoming = math.pi * np.append(suffix, 0.0)[np.searchsorted(d_edges, np.minimum(ts, s_end))]
-    outgoing = math.pi * _gauss_panels(data, lambda s: E(s) ** 2).sum()
+    outgoing = math.pi * _panel_integrals(lambda s: E(s) ** 2, data).sum()
 
     r_edges = np.union1d(np.union1d(history.times, data[data < history.horizon]), ts)
-    prefix = np.append(0.0, np.cumsum(_gauss_panels(r_edges, lambda s: answered(s) ** 2)))
+    prefix = np.append(0.0, np.cumsum(_panel_integrals(lambda s: answered(s) ** 2, r_edges)))
     reemitted = math.pi * prefix[np.searchsorted(r_edges, ts)]
 
     potential = state.nl.U(zeta_at(history, ts)[0])
@@ -305,6 +298,5 @@ def distance_to_stationary(
         (u, u_t, _), _ = _assemble(state, history, r, t)
         return FOUR_PI * np.stack([(u - q / FOUR_PI) ** 2, u_t * u_t], axis=-1)
 
-    pts = split_points(reduction(state).kink_radii(t, 0.0, R), 0.0, R)
-    pos2, vel2 = integrate_panels(integrand, pts, quad_tol)
+    pos2, vel2 = integrate_panels(integrand, _breakpoints(state, history, t, R), quad_tol)
     return math.sqrt(max(float(pos2), 0.0)), math.sqrt(max(float(vel2), 0.0))

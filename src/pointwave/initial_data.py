@@ -24,7 +24,7 @@ import numpy as np
 
 from .cutoff import R_OUTER, chi, chi_arr, chi_prime, chi_second
 from .nonlinearity import Nonlinearity, _horner
-from .quadrature import integrate_panels, split_points
+from .quadrature import integrate_panel, integrate_panels, split_points
 
 FOUR_PI = 4.0 * math.pi
 
@@ -233,18 +233,13 @@ class CallableBump:
         return np.vectorize(self.d1, otypes=[float])(r)
 
     def integral_r(self, a: np.ndarray) -> np.ndarray:
-        """int_0^a s * bump(s) ds, by integral_fn or else by quadrature."""
-
-        def one(x: float) -> float:
-            hi = min(x, self.support_radius)
-            if self.integral_fn is not None:
-                return self.integral_fn(hi)
-            if hi <= 0.0:
-                return 0.0
-            pts = split_points([1.0, 2.0], 0.0, hi)
-            return float(integrate_panels(lambda s: s * self.value_arr(s), pts, 1e-13))
-
-        return np.vectorize(one, otypes=[float])(a)
+        """int_0^a s * bump(s) ds, by integral_fn or else by one quadrature and prefix sums."""
+        hi = np.clip(a, 0.0, self.support_radius)
+        if self.integral_fn is not None:
+            return np.vectorize(self.integral_fn, otypes=[float])(hi)
+        edges = split_points([1.0, 2.0, *np.ravel(hi)], 0.0, self.support_radius)
+        pieces = integrate_panel(lambda s: s * self.value_arr(s), edges[:-1], edges[1:], 1e-13)
+        return np.append(0.0, np.cumsum(pieces))[np.searchsorted(edges, hi)]
 
 
 ZERO_BUMP = PolynomialBump(amplitude=0.0, support_radius=1.0)
@@ -400,17 +395,10 @@ def phase_norm(state: InitialState, quad_tol: float = 1e-12) -> float:
 
     def integrand(r: float) -> tuple[float, float, float]:
         # psi_reg = phi_bump - z0 w, pi_reg = pi_bump - zd0 w, w = (1 - chi) G
-        if r > 1.0:
-            w1, lap_w = _w_derivs(r)
-        else:
-            w1, lap_w = 0.0, 0.0
+        w1, lap_w = _w_derivs(r) if r > 1.0 else (0.0, 0.0)
         dpsi = state.phi_c.d1(r) - z0 * w1
         dpi = state.pi_c.d1(r) - zd0 * w1
-        lap_psi = (
-            state.phi_c.d2(r) + (2.0 * state.phi_c.d1(r) / r if r > 0.0 else 0.0)
-        ) - z0 * lap_w
-        if r == 0.0:
-            lap_psi = 3.0 * state.phi_c.d2(0.0)  # radial limit of d2 + 2 d1 / r
+        lap_psi = state.phi_c.d2(r) + 2.0 * state.phi_c.d1(r) / r - z0 * lap_w
         w = FOUR_PI * r * r
         return (w * dpsi * dpsi, w * lap_psi * lap_psi, w * dpi * dpi)
 

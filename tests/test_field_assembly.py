@@ -6,6 +6,7 @@ import pytest
 
 import pointwave as pw
 import pointwave.field_assembly as field_assembly
+import pointwave.quadrature as quadrature
 import pointwave.runner as runner
 from pointwave.field_assembly import (
     HistoryHorizonError,
@@ -19,7 +20,7 @@ from pointwave.field_assembly import (
 )
 from pointwave.free_wave import lambda_at
 from pointwave.initial_data import FOUR_PI
-from pointwave.quadrature import MAX_DEPTH
+from pointwave.quadrature import PANEL_BLOCK
 from pointwave.runner import amplitude_bound, build_state, run_scenario
 from pointwave.scenario import load_config
 from pointwave.zeta_dynamics import ZetaHistory, zeta_at
@@ -257,6 +258,11 @@ def reference_config_run():
 
 def _extra_state(which: str) -> pw.InitialState:
     nl = pw.cubic()
+    if which == "large_data":
+        # H0 = 72: the ledger's parts are far above 1, where an absolute 1e-14
+        # would ask for less than their round-off
+        phi = pw.RadialProfile(bump=pw.PolynomialBump(nl.F(2.0), 1.0))
+        return pw.make_initial_state(phi, pw.RadialProfile(), 2.0, 0.3, nl)
     bump = pw.PolynomialBump(nl.F(0.5), 1.0)
     if which == "velocity_bump":
         phi, pi = pw.RadialProfile(bump=bump), pw.RadialProfile(bump=pw.PolynomialBump(0.2, 1.5))
@@ -284,7 +290,16 @@ class TestEnergyLedger:
         assert abs(ledger.total[0] - energy(state, hist, 0.0, s.quad_radius, 1e-13).total) <= 1e-14
         assert np.max(np.abs(ledger.total[1:] - audit)) <= 1e-12 * max(1.0, abs(H0))
 
-    @pytest.mark.parametrize("which", ["velocity_bump", "tail_phi", "spline_phi"])
+    def test_audit_at_default_tol_matches_ledger(self, shipped_run):
+        # the audit's Gauss panels split at the node cones, where the retarded
+        # integrand is a polynomial, so both agree to round-off at every time
+        s, state, hist, H0 = (shipped_run[k] for k in ("s", "state", "history", "H0"))
+        times = sorted({0.0, *(t for t in s.energy_times if 0.0 < t <= s.t_final), s.t_final})
+        ledger = energy_ledger(state, hist, times)
+        audit = [energy(state, hist, t, s.quad_radius).total for t in times]
+        assert np.max(np.abs(ledger.total - audit)) <= 1e-14 * max(1.0, abs(H0))
+
+    @pytest.mark.parametrize("which", ["velocity_bump", "tail_phi", "spline_phi", "large_data"])
     def test_gate_on_kinked_data(self, which):
         # rows inside the data support exercise the kink panels and their subdivision
         state = _extra_state(which)
@@ -363,34 +378,29 @@ class TestEnergyLedger:
             energy_ledger(state, linear_history(), [0.0, 1.0])
 
 
-def test_energy_audit_calls_the_integrand_once_per_level(
-    reference_config_run, monkeypatch, scalar_quadrature
-):
-    # every panel refines in the same integrand calls: the call count is bounded
-    # by the depth, not the panel count, and the points are the scalar oracle's
+def test_energy_audit_calls_the_integrand_per_block_and_level(reference_config_run, monkeypatch):
+    # each level evaluates its active panels in blocks of PANEL_BLOCK, so the
+    # call count is bounded by levels x blocks and no call exceeds one block
     state, hist = reference_config_run["state"], reference_config_run["history"]
     assemble, calls = field_assembly._assemble, []
+    gauss, levels = quadrature._gauss, []
 
     def counted(state, history, r, t):
         calls.append(np.size(r))
         return assemble(state, history, r, t)
 
+    def per_level(f, a, b):
+        levels.append(len(a))
+        return gauss(f, a, b)
+
     monkeypatch.setattr(field_assembly, "_assemble", counted)
-    H = energy(state, hist, 20.0)
-    engine_calls, engine_points = len(calls), sum(calls)
-    calls.clear()
-    panels = []
-
-    def scalar(f, breakpoints, tol):
-        panels.append(len(breakpoints) - 1)
-        return scalar_quadrature(f, breakpoints, tol)
-
-    monkeypatch.setattr(field_assembly, "integrate_panels", scalar)
-    H_scalar = energy(state, hist, 20.0)
-    assert engine_calls <= MAX_DEPTH + 2 < len(calls)
-    assert panels[0] > 1
-    assert engine_points == sum(calls)
-    assert H == H_scalar
+    monkeypatch.setattr(quadrature, "_gauss", per_level)
+    energy(state, hist, 20.0)
+    panels = levels[0]
+    assert panels > PANEL_BLOCK
+    assert len(calls) <= len(levels) * math.ceil(panels / PANEL_BLOCK)
+    assert max(calls) == 14 * PANEL_BLOCK
+    assert sum(calls) == 14 * sum(levels)
 
 
 def test_artifact_path_audits_only(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import warnings
@@ -236,7 +237,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SHIPPED = SRC.parent / "scenarios"
 
 
-def run_cli(*args, cwd=None, **env):
+def run_cli(*args, cwd=None, preexec_fn=None, **env):
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "pointwave", *args],
@@ -244,7 +245,13 @@ def run_cli(*args, cwd=None, **env):
         text=True,
         cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path, **env),
+        preexec_fn=preexec_fn,
     )
+
+
+def address_space_limit(nbytes):
+    """A preexec_fn capping the child's address space, so a runaway allocation fails in it."""
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (nbytes, nbytes))
 
 
 # a summary row of a scenario that ran, as perfbench/workload.py reads it
@@ -294,6 +301,21 @@ class TestCli:
         assert proc.returncode == 3, proc.stderr + proc.stdout
         assert "Traceback" not in proc.stderr
         assert re.search(r"^bad_amplitude: ERROR CompatibilityError: phi_c\(0\) = 0\.3", proc.stderr)
+
+    @pytest.mark.parametrize("tol", ["1e-20", "1e-40"])
+    def test_run_unreachable_quad_tol_exit_three(self, tmp_path, tol):
+        # a tolerance below round-off fails every panel at every level; the
+        # active panels are capped, so the run ends in an ERROR row within
+        # 1 GiB of address space instead of doubling its intervals until
+        # memory runs out
+        cfg = tmp_path / "tight.cfg"
+        cfg.write_text((SHIPPED / "reference.cfg").read_text() + f"quad.tol = {tol}\n")
+        proc = run_cli(
+            "run", str(cfg), "--out", str(tmp_path / "out"), preexec_fn=address_space_limit(1 << 30)
+        )
+        assert proc.returncode == 3, proc.stderr + proc.stdout
+        assert "Traceback" not in proc.stderr
+        assert re.search(rf"^reference: ERROR QuadratureError: .*stalled at tol {tol}", proc.stderr)
 
     @pytest.mark.parametrize(
         "line", ["ode.t_final = inf", "data.zeta0 = nan", "data.zeta0 = inf", "snapshot.times = nan"]

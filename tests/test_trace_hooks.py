@@ -1,6 +1,7 @@
 """The benchmark tracer (perfbench/tracer.py) wraps package names it looks up
 with getattr; a refactor that drops one of them makes `--trace 1` fail."""
 
+import json
 import os
 import subprocess
 import sys
@@ -20,3 +21,30 @@ def test_tracer_installs_on_the_package_names():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_energy_reaches_both_quadrature_wrappers():
+    # quadrature.panels counts calls of the wrapped quadrature.integrate_panel
+    # and quadrature.points the points of the wrapped
+    # field_assembly.integrate_panels; one energy() must reach both
+    code = (
+        "import json, tracer, pointwave as pw\n"
+        "t = tracer.Tracer()\n"
+        "tracer.install(t)\n"
+        "nl = pw.cubic()\n"
+        "phi = pw.RadialProfile(bump=pw.PolynomialBump(nl.F(0.5), 1.0))\n"
+        "pw.energy(pw.make_initial_state(phi, pw.RadialProfile(), 0.5, 0.3, nl), None, 0.0)\n"
+        "d = t.dump()\n"
+        "print(json.dumps({\n"
+        "    'panels': sum(c for n, _, c, _ in d['hot'] if n == 'quadrature.integrate_panel'),\n"
+        "    'points': sum(c for n, _, c in d['counts'] if n == 'quadrature.points'),\n"
+        "}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    assert counts["panels"] > 0
+    assert counts["points"] > 0
