@@ -15,7 +15,6 @@ from .field_assembly import (
     FieldSample,
     distance_to_stationary,
     energy,
-    green,
     psi_total,
     regular_trace,
     u_singular,
@@ -23,7 +22,6 @@ from .field_assembly import (
 from .free_wave import (
     OnConeWarning,
     dispersive_eval,
-    lambda_trace,
     local_seminorm,
     psi_G_eval,
 )
@@ -34,7 +32,6 @@ from .initial_data import (
     RadialProfile,
     SplineBump,
     make_initial_state,
-    phase_norm,
     stationary_data,
 )
 from .nonlinearity import (
@@ -59,7 +56,6 @@ from .zeta_dynamics import (
     detect_limit,
     integrate,
     integrate_source,
-    rhs,
     zeta_at,
 )
 

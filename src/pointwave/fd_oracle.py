@@ -19,8 +19,8 @@ arithmetic with the additions reordered, so it agrees with a full-array march
 to rounding.  The transport is exact; the discretization error enters only
 through the Taylor start (O(h^3) in each p^0_j) and the one-sided boundary
 solve, the sharpest possible configuration for checking the reduced oscillator
-dynamics.  With trunc None (free mode) the trace is homogeneous Dirichlet,
-b_n = 0 for n >= 1.
+dynamics.  With trunc None (free mode, as for initial_data.bare_singular_data)
+the trace is homogeneous Dirichlet, b_n = 0 for n >= 1.
 
 The boundary value u0 solves g(u0) = (-3 u0 + 4 u1 - u2)/(2h) - F~(4 pi u0)
 = 0 at each step.  g is strictly decreasing, so the root is unique, when
@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .initial_data import FOUR_PI, ZERO_PROFILE, InitialState
-from .nonlinearity import TruncatedNonlinearity, linear
+from .initial_data import FOUR_PI, InitialState
+from .nonlinearity import TruncatedNonlinearity
 from .zeta_dynamics import ZetaHistory
 from .field_assembly import psi_total
 from .free_wave import reduction
@@ -179,22 +179,6 @@ def run(
         base = np.concatenate((b[m::-1], u0[1:]))[: N + 1]
         snapshots[ts] = base + (S[j + m + 1] - S[np.abs(j - m) + 1])
     return OracleRun(grid=grid, times=np.arange(len(b)) * h, trace=FOUR_PI * b, snapshots=snapshots)
-
-
-def huygens_probe_state(zeta0: float, zeta_dot0: float) -> InitialState:
-    """Bare cutoff-singular data for linear free-evolution probes.
-
-    Not an admissible interacting state (no compatibility bump), which is why
-    it bypasses make_initial_state; run it with trunc None (free mode) only,
-    where its free evolution vanishes for t >= r + 2.
-    """
-    return InitialState(
-        phi_c=ZERO_PROFILE,
-        pi_c=ZERO_PROFILE,
-        zeta0=zeta0,
-        zeta_dot0=zeta_dot0,
-        nl=linear(),
-    )
 
 
 def interior_energy(

@@ -64,13 +64,6 @@ class HistoryHorizonError(ValueError):
     """Retarded time beyond the integrated trajectory horizon."""
 
 
-def green(r: float) -> float:
-    """Coulomb kernel 1 / (4 pi r) of the 3D Laplacian."""
-    if r <= 0.0:
-        raise ValueError("green requires r > 0")
-    return 1.0 / (FOUR_PI * r)
-
-
 @dataclass(frozen=True)
 class FieldSample:
     """Field at radii r and time t: numbers for a number r, else arrays shaped like r."""
@@ -226,10 +219,8 @@ class EnergyLedger:
 
 
 def _panel_integrals(f, edges: np.ndarray) -> np.ndarray:
-    """Integrals of f >= 0 between consecutive edges, to LEDGER_TOL max(1, their sum)."""
-    # one unrefined level sizes the sum, so large data never asks for round-off
-    size = integrate_panel(f, edges[:-1], edges[1:], math.inf).sum()
-    return integrate_panel(f, edges[:-1], edges[1:], LEDGER_TOL * max(1.0, size))[:, 0]
+    """Integrals of the scalar f between consecutive edges, to LEDGER_TOL max(1, their size)."""
+    return integrate_panel(f, edges[:-1], edges[1:], LEDGER_TOL)[:, 0]
 
 
 def energy_ledger(state: InitialState, history: ZetaHistory, ts: np.ndarray) -> EnergyLedger:
@@ -256,12 +247,12 @@ def energy_ledger(state: InitialState, history: ZetaHistory, ts: np.ndarray) -> 
         return zeta_at(history, s)[1] / (2.0 * math.pi) - D(s)
 
     # the data on [0, support]; the incoming part summed from the far end
-    d_edges = np.union1d(data, ts[ts < s_end])
+    d_edges = split_points(np.concatenate([data, ts]), 0.0, s_end)
     suffix = np.cumsum(_panel_integrals(lambda s: D(s) ** 2, d_edges)[::-1])[::-1]
     incoming = math.pi * np.append(suffix, 0.0)[np.searchsorted(d_edges, np.minimum(ts, s_end))]
     outgoing = math.pi * _panel_integrals(lambda s: E(s) ** 2, data).sum()
 
-    r_edges = np.union1d(np.union1d(history.times, data[data < history.horizon]), ts)
+    r_edges = split_points(np.concatenate([history.times, data, ts]), 0.0, history.horizon)
     prefix = np.append(0.0, np.cumsum(_panel_integrals(lambda s: answered(s) ** 2, r_edges)))
     reemitted = math.pi * prefix[np.searchsorted(r_edges, ts)]
 

@@ -12,14 +12,15 @@ with u0 the odd extension of s * psi0(|s|) and V the even antiderivative of
 the odd extension of v0(s) = s * pi0(|s|).  dispersive_batch is the one
 evaluator of this formula, on arrays and at every r >= 0 (u_f(0, t) = 0 by
 oddness): it returns u_f and its time and radial derivatives, with no
-division by r.  dispersive_eval is its validating view for psi_f = u_f / r,
-psi_G_eval the same formula on the bare cutoff-singular data (the
-sharp-support check), and local_seminorm differentiates psi_f by stencils.
-The origin trace lambda(t) = d_r u_f(0, t), the source of the reduced
-oscillator equation, is assembled analytically in scalar form: the ODE loop
-calls it once per stage, where an array call would cost far more than the
-formula.  lambda_prime_at is its derivative in the same form, for the exact
-zeta'' the ODE stores at every node.
+division by r.  dispersive_eval is its validating view for psi_f = u_f / r
+at r > 0, psi_G_eval the same formula on initial_data.bare_singular_data
+(the sharp-support check), and local_seminorm differentiates psi_f by
+stencils.  The origin trace lambda(t) = d_r u_f(0, t) at t >= 0, the source
+of the reduced oscillator equation, is assembled analytically in scalar
+form: the ODE loop calls it once per stage, where an array call would cost
+far more than the formula.  lambda_prime_at is its derivative in the same
+form, for the exact zeta'' the ODE stores at every node.  Both are constant
+from the support time, the state's support_radius, on.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .cutoff import R_OUTER, chi, chi_arr, chi_integral, chi_prime, chi_prime_arr, chi_second
-from .initial_data import FOUR_PI, ZERO_PROFILE, InitialState
+from .initial_data import FOUR_PI, InitialState, bare_singular_data
 from .quadrature import integrate_panel, split_points
 
 
@@ -55,6 +55,7 @@ class OddReduction:
     alpha_pi: float
     phi_bump: object
     pi_bump: object
+    support_time: float  # from here on the origin trace is the constant alpha_pi / 4pi
 
     @property
     def kinks(self) -> tuple[float, ...]:
@@ -64,11 +65,6 @@ class OddReduction:
     def kink_radii(self, t: float, lo: float, hi: float) -> set[float]:
         """Radii in (lo, hi) where the field at time t is not smooth: the cones of the kinks."""
         return {c for k in self.kinks for c in (t - k, t + k, k - t) if lo < c < hi}
-
-    @cached_property
-    def support_time(self) -> float:
-        """Time from which the origin trace is the constant alpha_pi / 4pi."""
-        return max(R_OUTER, self.phi_bump.support_radius, self.pi_bump.support_radius)
 
     def u0(self, s: np.ndarray) -> np.ndarray:
         a = np.abs(s)
@@ -105,6 +101,7 @@ def reduction(state: InitialState) -> OddReduction:
             alpha_pi=state.pi_c.tail,
             phi_bump=state.phi_c.bump,
             pi_bump=state.pi_c.bump,
+            support_time=state.support_radius,
         )
     return state._reduction
 
@@ -125,7 +122,7 @@ def dispersive_batch(
 def check_domain(r: np.ndarray, t: float) -> None:
     """Reject r <= 0 or t < 0."""
     if np.any(np.asarray(r) <= 0.0):
-        raise ValueError("field evaluation requires r > 0 (use lambda_trace at the origin)")
+        raise ValueError("field evaluation requires r > 0 (lambda_at gives the origin trace)")
     if np.any(np.asarray(t) < 0.0):
         raise ValueError("field evaluation requires t >= 0")
 
@@ -194,21 +191,13 @@ def lambda_prime_at(state: InitialState, t: float) -> float:
     return point_part + 2.0 * phi.d1(t) + t * phi.d2(t) + pi.value(t) + t * pi.d1(t)
 
 
-def lambda_trace(state: InitialState, t: float) -> float:
-    """Origin trace lambda(t) for t > 0."""
-    if t <= 0.0:
-        raise ValueError("lambda_trace requires t > 0")
-    return lambda_at(state, t)
-
-
 def psi_G_eval(state: InitialState, r: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Free evolution of the cutoff-singular data part alone.
 
     Initial data (zeta0 chi G, zeta_dot0 chi G); compactly supported, so the
     result vanishes identically (to closed-form roundoff) for t >= r + 2.
     """
-    bare = InitialState(ZERO_PROFILE, ZERO_PROFILE, state.zeta0, state.zeta_dot0, state.nl)
-    return dispersive_eval(bare, r, t)[0]
+    return dispersive_eval(bare_singular_data(state.zeta0, state.zeta_dot0), r, t)[0]
 
 
 def local_seminorm(state: InitialState, t: float, R: float, h_fd: float = 1e-3) -> float:

@@ -9,8 +9,11 @@ where phi_c, pi_c are regular radial profiles (compact bump, optionally plus
 a Coulomb tail alpha (1 - chi) G used to represent exact stationary states).
 Membership in the admissible set reduces to the constructive compatibility
 condition phi_c(0) = F(zeta0), which make_initial_state enforces.  The
-singular G factor is kept symbolic throughout; nothing is ever sampled near
-its singularity.
+singular G factor is kept symbolic throughout: InitialState.reduced_data
+gives the data as (r psi0, r pi0), which is finite at r = 0, and nothing is
+ever sampled near the singularity.  stationary_data builds the exact rest
+states q G, and bare_singular_data the point part (zeta0 chi G,
+zeta_dot0 chi G) alone, for free-evolution probes.
 """
 
 from __future__ import annotations
@@ -22,19 +25,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cutoff import R_OUTER, chi, chi_arr, chi_prime, chi_second
-from .nonlinearity import Nonlinearity, _horner
-from .quadrature import integrate_panel, integrate_panels, split_points
+from .cutoff import R_OUTER, chi_arr
+from .nonlinearity import Nonlinearity, _horner, linear
+from .quadrature import integrate_panel, split_points
 
 FOUR_PI = 4.0 * math.pi
 
 
 class CompatibilityError(ValueError):
     """Regular part at the origin does not match F(zeta0)."""
-
-
-class UnsupportedNormError(ValueError):
-    """Phase-space norm requested for a state with Coulomb tails (not finite)."""
 
 
 @dataclass(frozen=True)
@@ -252,35 +251,10 @@ class RadialProfile:
     bump: object = ZERO_BUMP
     tail: float = 0.0
 
-    def value(self, r: float) -> float:
-        return float(self.value_arr(r))
-
     def value_arr(self, r: np.ndarray) -> np.ndarray:
         """Profile at radii r >= 0, tail included; 1 - chi vanishes on r <= 1."""
         tail = self.tail * (1.0 - chi_arr(r)) / (FOUR_PI * np.maximum(r, 1.0))
         return self.bump.value_arr(r) + tail
-
-    def d1(self, r: float) -> float:
-        v = self.bump.d1(r)
-        if self.tail != 0.0 and r > 1.0:
-            one_m = 1.0 - chi(r)
-            v += self.tail * (-chi_prime(r) / (FOUR_PI * r) - one_m / (FOUR_PI * r * r))
-        return v
-
-    def d2(self, r: float) -> float:
-        v = self.bump.d2(r)
-        if self.tail != 0.0 and r > 1.0:
-            one_m = 1.0 - chi(r)
-            v += self.tail * (
-                -chi_second(r) / (FOUR_PI * r)
-                + 2.0 * chi_prime(r) / (FOUR_PI * r * r)
-                + 2.0 * one_m / (FOUR_PI * r**3)
-            )
-        return v
-
-    @property
-    def bump_radius(self) -> float:
-        return self.bump.support_radius
 
     @property
     def value_at_origin(self) -> float:
@@ -300,18 +274,13 @@ class InitialState:
     zeta0: float
     zeta_dot0: float
     nl: Nonlinearity
-    support_radius: float = 0.0
     _reduction: object = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.support_radius == 0.0:
-            self.support_radius = max(
-                R_OUTER, self.phi_c.bump_radius, self.pi_c.bump_radius
-            )
-
     @property
-    def has_tail(self) -> bool:
-        return self.phi_c.tail != 0.0 or self.pi_c.tail != 0.0
+    def support_radius(self) -> float:
+        """Radius beyond which the data is its Coulomb tail alone: the cutoff's
+        outer radius or the wider bump support."""
+        return max(R_OUTER, self.phi_c.bump.support_radius, self.pi_c.bump.support_radius)
 
     def reduced_data(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(r psi0, r pi0) at radii r >= 0: zeta chi / 4 pi + r times the regular
@@ -319,18 +288,6 @@ class InitialState:
         c = chi_arr(r)
         u0 = self.zeta0 * c / FOUR_PI + r * self.phi_c.value_arr(r)
         return u0, self.zeta_dot0 * c / FOUR_PI + r * self.pi_c.value_arr(r)
-
-    def psi0(self, r: float) -> float:
-        """Total initial field at radius r > 0."""
-        if r <= 0.0:
-            raise ValueError("psi0 defined for r > 0 only")
-        return float(self.reduced_data(r)[0]) / r
-
-    def pi0(self, r: float) -> float:
-        """Total initial velocity at radius r > 0."""
-        if r <= 0.0:
-            raise ValueError("pi0 defined for r > 0 only")
-        return float(self.reduced_data(r)[1]) / r
 
 
 def make_initial_state(
@@ -341,7 +298,7 @@ def make_initial_state(
     nl: Nonlinearity,
     compat_tol: float = 1e-9,
 ) -> InitialState:
-    """Validate the origin compatibility condition and record the support radius."""
+    """Validate the origin compatibility condition."""
     target = nl.eval(zeta0)[1]
     actual = phi_c.value_at_origin
     if abs(actual - target) > compat_tol:
@@ -369,47 +326,11 @@ def stationary_data(q: float, nl: Nonlinearity, root_tol: float = 1e-9) -> Initi
     )
 
 
-def _w_derivs(r: float) -> tuple[float, float]:
-    """(d/dr, Laplacian) of w = (1 - chi) G at r > 1."""
-    g = 1.0 / (FOUR_PI * r)
-    g1 = -1.0 / (FOUR_PI * r * r)
-    g2 = 2.0 / (FOUR_PI * r**3)
-    one_m = 1.0 - chi(r)
-    w1 = -chi_prime(r) * g + one_m * g1
-    w2 = -chi_second(r) * g - 2.0 * chi_prime(r) * g1 + one_m * g2
-    return w1, w2 + 2.0 * w1 / r
+def bare_singular_data(zeta0: float, zeta_dot0: float) -> InitialState:
+    """The cutoff-singular data part alone: (zeta0 chi G, zeta_dot0 chi G).
 
-
-def phase_norm(state: InitialState, quad_tol: float = 1e-12) -> float:
-    """Squared phase-space norm of the state (finite for tail-free data only).
-
-    Computes |grad psi_reg|^2 + |lap psi_reg|^2 + |grad pi_reg|^2 by radial
-    quadrature plus the exact exterior Coulomb contribution, then adds
-    zeta0^2 + zeta_dot0^2.
+    Not an admissible interacting state (no compatibility bump), which is why
+    it bypasses make_initial_state.  It is for free evolution only, which
+    never reads nl and vanishes for t >= r + 2.
     """
-    if state.has_tail:
-        raise UnsupportedNormError("phase norm is finite only for tail-free states")
-
-    z0, zd0 = state.zeta0, state.zeta_dot0
-    r_star = max(R_OUTER, state.phi_c.bump_radius, state.pi_c.bump_radius)
-
-    def integrand(r: float) -> tuple[float, float, float]:
-        # psi_reg = phi_bump - z0 w, pi_reg = pi_bump - zd0 w, w = (1 - chi) G
-        w1, lap_w = _w_derivs(r) if r > 1.0 else (0.0, 0.0)
-        dpsi = state.phi_c.d1(r) - z0 * w1
-        dpi = state.pi_c.d1(r) - zd0 * w1
-        lap_psi = state.phi_c.d2(r) + 2.0 * state.phi_c.d1(r) / r - z0 * lap_w
-        w = FOUR_PI * r * r
-        return (w * dpsi * dpsi, w * lap_psi * lap_psi, w * dpi * dpi)
-
-    pts = split_points(
-        [1.0, R_OUTER, state.phi_c.bump_radius, state.pi_c.bump_radius], 0.0, r_star
-    )
-
-    def integrand_vec(r: np.ndarray) -> np.ndarray:
-        return np.array([integrand(float(x)) for x in np.atleast_1d(r)])
-
-    grad_psi, lap_psi, grad_pi = integrate_panels(integrand_vec, pts, quad_tol)
-    # beyond r_star: psi_reg = -z0 G (harmonic), pi_reg = -zd0 G
-    exterior = (z0 * z0 + zd0 * zd0) / (FOUR_PI * r_star)
-    return float(grad_psi + lap_psi + grad_pi + exterior + z0 * z0 + zd0 * zd0)
+    return InitialState(ZERO_PROFILE, ZERO_PROFILE, zeta0, zeta_dot0, linear())

@@ -5,13 +5,14 @@ the cones r = t - t_i of the history nodes) and mostly polynomial between
 them.  integrate_panel refines n panels together, level by level: each active
 panel gets the 8-point rule, and its difference from the 6-point rule is the
 error estimate, so a polynomial of degree <= 11 is accepted whole and exact.
-A panel passes when the estimate is within its share of tol, in proportion to
-its length; the others are halved.  A level is evaluated in blocks of
-PANEL_BLOCK panels, which bounds the integrand's temporaries.  Gauss nodes
-are interior, so no panel end, r = 0 included, is ever sampled.  A non-finite
-integrand raises QuadratureError, and so does a stall: more than MAX_ACTIVE
-failing panels (a tol below round-off) or a panel still failing after
-MAX_LEVEL halvings (a jump inside it).
+A panel passes when the estimate is within its share of tol max(1, S), in
+proportion to its length, with S the size of the integrals at the first
+level; the others are halved.  A level is evaluated in blocks of PANEL_BLOCK
+panels, which bounds the integrand's temporaries.  Gauss nodes are interior,
+so no panel end, r = 0 included, is ever sampled.  A non-finite integrand
+raises QuadratureError, and so does a stall: more than MAX_ACTIVE failing
+panels (a tol below round-off) or a panel still failing after MAX_LEVEL
+halvings (a jump inside it).
 """
 
 from __future__ import annotations
@@ -65,15 +66,20 @@ def integrate_panel(f: Integrand, a: np.ndarray, b: np.ndarray, tol: float) -> n
     """Adaptive Gauss-Legendre integrals of a vectorized f over n panels at once.
 
     f maps an array of m points to shape (m,) or (m, k) values; panel i is
-    [a[i], b[i]].  tol is an absolute bound on the sum over all panels,
-    shared by panel length, so every partial sum is within tol too.  Returns
-    shape (n, k), the integral of each panel.
+    [a[i], b[i]].  tol bounds the error of the sum over all panels relative
+    to max(1, S), S the sum of |8-point value| over the panels and components
+    of the first level, so large data never asks for round-off and small data
+    keeps an absolute bound.  The bound is shared by panel length, so every
+    partial sum is within it too.  Returns shape (n, k), the integral of
+    each panel.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    n, density = len(a), tol / float(np.sum(b - a))
+    n, length = len(a), float(np.sum(b - a))
     pid, ids, values = np.arange(n), [], []
     for level in range(MAX_LEVEL + 1):
         est = _gauss(f, a, b)
+        if level == 0:
+            density = tol * max(1.0, np.abs(est[:, 0]).sum()) / length
         done = np.abs(est[:, 1]).max(axis=1) <= density * (b - a)
         ids.append(pid[done])
         values.append(est[done, 0])
@@ -93,7 +99,7 @@ def integrate_panel(f: Integrand, a: np.ndarray, b: np.ndarray, tol: float) -> n
 
 
 def integrate_panels(f: Integrand, breakpoints: Sequence[float], tol: float) -> np.ndarray:
-    """Integrate f over [breakpoints[0], breakpoints[-1]] to within tol.
+    """Integrate f over [breakpoints[0], breakpoints[-1]] to within tol max(1, size).
 
     The interior breakpoints mark kinks or jumps of f.  A number for a
     scalar f, else an array of its k components.

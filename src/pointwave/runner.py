@@ -134,11 +134,11 @@ def _fmt(x: float) -> str:
 def _write_zeta_csv(path: Path, s: Scenario, state: InitialState, history: ZetaHistory) -> None:
     rows = ["t,zeta,zeta_dot,lambda,F,H"]
     ts = np.linspace(0.0, s.t_final, s.csv_rows)
-    for t, h_val in zip(ts.tolist(), energy_ledger(state, history, ts).total.tolist()):
-        z, zd = zeta_at(history, t)
-        lam = lambda_at(state, t)
-        f_val = state.nl.F(z)
-        rows.append(",".join(_fmt(v) for v in (t, z, zd, lam, f_val, h_val)))
+    z, zd = zeta_at(history, ts)
+    lam = np.array([lambda_at(state, t) for t in ts.tolist()])
+    H = energy_ledger(state, history, ts).total
+    table = np.column_stack([ts, z, zd, lam, state.nl.F(z), H])
+    rows += [",".join(_fmt(v) for v in row) for row in table.tolist()]
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 

@@ -24,8 +24,9 @@ defaults:
                               of pointwave.cli)                 [50.0]
     ode.rel_tol, ode.abs_tol                                    [1e-11, 1e-13]
     ode.max_step              additional step cap               [none]
-    quad.tol                  absolute error bound on each radial
-                              integral, shared by panel length  [1e-12]
+    quad.tol                  error bound on each radial integral
+                              relative to max(1, its size),
+                              shared by panel length            [1e-12]
     quad.radius               energy ball ("auto" = t + support + 1)
     report.energy_times       comma floats; times set here past
                               T warn (TimesPastHorizonWarning)  [1,5,10,20]

@@ -109,11 +109,6 @@ class ZetaHistory:
         return float(np.max(np.abs(self.values)))
 
 
-def rhs(trunc: TruncatedNonlinearity, zeta: float, lam: float) -> float:
-    """Right-hand side 4 pi (lambda - F~(zeta)) of the reduced equation."""
-    return FOUR_PI * (lam - trunc.F(zeta))
-
-
 def _hermite5(x, h, y0, y1, d0, d1, s0, s1) -> tuple:
     """Quintic Hermite (z, z') at x = (s - t0) / h in [0, 1] of one node interval.
 

@@ -13,8 +13,8 @@ import pytest
 import pointwave as pw
 from pointwave import fd_oracle
 from pointwave.field_assembly import distance_to_stationary, energy, psi_total, regular_trace
-from pointwave.free_wave import lambda_at, lambda_trace, psi_G_eval
-from pointwave.initial_data import FOUR_PI
+from pointwave.free_wave import lambda_at, psi_G_eval
+from pointwave.initial_data import FOUR_PI, bare_singular_data
 from pointwave.runner import amplitude_bound, run_scenario
 from pointwave.scenario import load_config
 from pointwave.zeta_dynamics import zeta_at
@@ -115,7 +115,7 @@ def test_criterion_03_strong_huygens():
     # independent check: free evolution of the cutoff-singular data on the grid
     worst_fd = {}
     for h in (1.0 / 128, 1.0 / 256):
-        probe = fd_oracle.huygens_probe_state(0.5, 0.3)
+        probe = bare_singular_data(0.5, 0.3)
         run = fd_oracle.run(probe, None, T=8.0, h=h, R=10.0, snapshot_times=(5.0, 8.0))
         w = 0.0
         for t, u in run.snapshots.items():
@@ -139,7 +139,7 @@ def test_criterion_03_strong_huygens():
 
 def test_criterion_04_trace_support():
     state = make_reference_state()
-    worst = max(abs(lambda_trace(state, float(t))) for t in np.linspace(2.0001, 50.0, 200))
+    worst = max(abs(lambda_at(state, float(t))) for t in np.linspace(2.0001, 50.0, 200))
     ok = worst <= 1e-12
     _report(4, "trace support expiry", ok, f"max|lambda|={worst:.2e} for t > 2")
 

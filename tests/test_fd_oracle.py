@@ -8,7 +8,8 @@ import pytest
 
 import pointwave as pw
 from pointwave import fd_oracle
-from pointwave.fd_oracle import OracleError, huygens_probe_state, interior_energy
+from pointwave.cutoff import chi, chi_prime
+from pointwave.fd_oracle import OracleError, interior_energy
 from pointwave.free_wave import lambda_at
 from pointwave.initial_data import (
     FOUR_PI,
@@ -16,14 +17,13 @@ from pointwave.initial_data import (
     InitialState,
     RadialProfile,
     ZERO_PROFILE,
+    bare_singular_data,
 )
 from pointwave.zeta_dynamics import zeta_at
 
 
 def silent_linear_state(z0=1.0):
     """Linear force, trace-free data: the amplitude decays as exp(-4 pi t)."""
-    from pointwave.cutoff import chi, chi_prime
-
     phi = RadialProfile(
         bump=CallableBump(
             value_fn=lambda r: z0 * chi(r),
@@ -65,8 +65,10 @@ class TestInit:
         grid, u0, _ = fd_oracle.init_grid(ref_state, trunc, h=0.01, R=8.0)
         assert u0[0] == pytest.approx(0.5 / FOUR_PI, rel=1e-15)
         for j in (1, 57, 313):
-            r = grid.r[j]
-            assert u0[j] == pytest.approx(r * ref_state.psi0(r), rel=1e-14)
+            r = float(grid.r[j])
+            # r psi0 = zeta0 chi / 4pi + r phi_c
+            want = ref_state.zeta0 * chi(r) / FOUR_PI + r * ref_state.phi_c.bump.value(r)
+            assert u0[j] == pytest.approx(want, rel=1e-14)
 
     def test_grid_too_small(self, ref_state):
         trunc = pw.build_truncation(pw.cubic(), 1.6)
@@ -102,7 +104,7 @@ def test_run_matches_full_array_leapfrog(ref_state, case):
     if case == "interacting":
         state, trunc = ref_state, pw.build_truncation(pw.cubic(), 1.6)
     else:
-        state, trunc = huygens_probe_state(1.0, 0.5), None
+        state, trunc = bare_singular_data(1.0, 0.5), None
     h, times = 1.0 / 64, (0.0, 1.0 / 64, 2.0 / 64, 1.0, 3.0, 6.0, 9.0)
     run = fd_oracle.run(state, trunc, T=9.0, h=h, R=6.0, snapshot_times=times)
     levels = _leapfrog(state, trunc, 9.0, h, 6.0)
@@ -116,7 +118,7 @@ def test_outflow_transparency():
     # may be left in r <= 10: a reflection at R would leave energy behind
     h = 1.0 / 64
     run = fd_oracle.run(
-        huygens_probe_state(1.0, 0.5), None, T=14.0, h=h, R=10.0,
+        bare_singular_data(1.0, 0.5), None, T=14.0, h=h, R=10.0,
         snapshot_times=(0.0, h, 14.0 - h, 14.0),
     )
     snap = run.snapshots
@@ -127,7 +129,7 @@ def test_outflow_transparency():
 
 @pytest.mark.parametrize("ts", [2.0, -0.5])
 def test_snapshot_time_outside_run_refused(ts):
-    state = huygens_probe_state(1.0, 0.5)
+    state = bare_singular_data(1.0, 0.5)
     with pytest.raises(OracleError, match=f"snapshot time {ts} is outside"):
         fd_oracle.run(state, None, T=1.0, h=1.0 / 32, R=4.0, snapshot_times=(ts,))
 
@@ -197,7 +199,7 @@ def test_linear_force_trace_convergence():
 
 def test_huygens_probe_free_mode():
     for h in (1.0 / 128, 1.0 / 256):
-        state = huygens_probe_state(1.0, 0.5)
+        state = bare_singular_data(1.0, 0.5)
         run = fd_oracle.run(state, None, T=8.0, h=h, R=10.0, snapshot_times=(4.0, 6.0, 8.0))
         worst = 0.0
         for t, u in run.snapshots.items():

@@ -13,7 +13,6 @@ from pointwave.field_assembly import (
     distance_to_stationary,
     energy,
     energy_ledger,
-    green,
     psi_total,
     regular_trace,
     u_singular,
@@ -38,16 +37,6 @@ def linear_history(T=3.0):
         second=np.zeros_like(ts),
         Lambda_used=10.0,
     )
-
-
-def test_green_values():
-    assert green(1.0) == pytest.approx(1.0 / FOUR_PI, rel=1e-16)
-    assert green(0.5) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-16)
-    assert green(2.0) == pytest.approx(1.0 / (8.0 * math.pi), rel=1e-16)
-    with pytest.raises(ValueError):
-        green(0.0)
-    with pytest.raises(ValueError):
-        green(-1.0)
 
 
 class TestPsiSingular:
@@ -122,14 +111,14 @@ class TestPsiTotal:
         rng = np.random.default_rng(3)
         for r, t in zip(rng.uniform(0.05, 6.0, 40), rng.uniform(0.0, 10.0, 40)):
             fs = psi_total(state, hist, float(r), float(t))
-            assert abs(fs.psi - green(float(r))) < 1e-12
+            assert abs(fs.psi - 1.0 / (FOUR_PI * r)) < 1e-12
             assert abs(fs.psi_dot) < 1e-12
 
     def test_regular_part_decomposition(self, ref_run):
         hist = ref_run["history"]
         fs = psi_total(ref_run["state"], hist, 0.9, 2.5)
         z, _ = zeta_at(hist, 2.5)
-        assert fs.psi_reg == pytest.approx(fs.psi - z * green(0.9), rel=1e-14)
+        assert fs.psi_reg == pytest.approx(fs.psi - z / (FOUR_PI * 0.9), rel=1e-14)
 
     @pytest.mark.parametrize("t", [1.0, 2.5])
     def test_continuous_on_cone(self, ref_run, t):

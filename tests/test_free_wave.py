@@ -10,7 +10,6 @@ from pointwave.free_wave import (
     dispersive_eval,
     lambda_at,
     lambda_prime_at,
-    lambda_trace,
     local_seminorm,
     psi_G_eval,
     reduction,
@@ -22,18 +21,8 @@ from pointwave.initial_data import (
     PolynomialBump,
     RadialProfile,
     ZERO_PROFILE,
+    bare_singular_data,
 )
-
-
-def pure_point_state(zeta0, zeta_dot0, nl=None):
-    """Cutoff-singular data only (no regular bump); bypasses compatibility."""
-    return InitialState(
-        phi_c=ZERO_PROFILE,
-        pi_c=ZERO_PROFILE,
-        zeta0=zeta0,
-        zeta_dot0=zeta_dot0,
-        nl=nl or pw.cubic(),
-    )
 
 
 def coulomb_state(zeta0, zeta_dot0):
@@ -51,14 +40,14 @@ class TestOddReduction:
     @settings(max_examples=80, deadline=None)
     @given(st.floats(min_value=0.01, max_value=4.0))
     def test_parity(self, s):
-        red = reduction(pure_point_state(0.7, -0.4))
+        red = reduction(bare_singular_data(0.7, -0.4))
         assert red.u0(-s) == pytest.approx(-red.u0(s), abs=1e-16)
         assert red.v0(-s) == pytest.approx(-red.v0(s), abs=1e-16)
         assert red.V(-s) == red.V(s)
         assert red.u0_prime(-s) == red.u0_prime(s)
 
     def test_constant_beyond_support(self):
-        red = reduction(pure_point_state(0.7, -0.4))
+        red = reduction(bare_singular_data(0.7, -0.4))
         assert red.u0(2.5) == 0.0
         assert red.u0(9.0) == 0.0
         assert red.V(2.5) == red.V(7.0)
@@ -70,18 +59,18 @@ class TestOddReduction:
 
 class TestDispersiveEval:
     def test_zero_state(self):
-        zero = pure_point_state(0.0, 0.0)
+        zero = bare_singular_data(0.0, 0.0)
         for r, t in ((0.3, 0.0), (1.0, 2.0), (4.0, 1.5)):
             assert dispersive_eval(zero, r, t) == (0.0, 0.0)
 
     def test_position_jump_cancels_inside_cone(self):
         # data 2 chi G at rest: field vanishes where the cutoff is still 1
-        state = pure_point_state(2.0, 0.0)
+        state = bare_singular_data(2.0, 0.0)
         psi, _ = dispersive_eval(state, 0.2, 0.5)
         assert psi == pytest.approx(0.0, abs=1e-16)
 
     def test_velocity_jump_gives_quarter_pi(self):
-        state = pure_point_state(0.0, 1.0)
+        state = bare_singular_data(0.0, 1.0)
         psi, _ = dispersive_eval(state, 0.2, 0.5)
         assert psi == pytest.approx(1.0 / FOUR_PI, rel=1e-14)
 
@@ -95,7 +84,7 @@ class TestDispersiveEval:
             assert psi == pytest.approx(static - retarded, abs=1e-15)
 
     def test_superposition(self, ref_state):
-        other = pure_point_state(-0.3, 0.8)
+        other = bare_singular_data(-0.3, 0.8)
         combined = InitialState(
             phi_c=ref_state.phi_c,
             pi_c=ref_state.pi_c,
@@ -123,7 +112,7 @@ class TestDispersiveEval:
             assert abs(utt - urr) < 1e-8
 
     def test_on_cone_warns_and_averages(self):
-        state = pure_point_state(1.0, 0.0)
+        state = bare_singular_data(1.0, 0.0)
         with pytest.warns(OnConeWarning):
             psi, _ = dispersive_eval(state, 0.5, 0.5)
         # one-sided limits at the jump average to u0(0)/2r contributions
@@ -151,13 +140,14 @@ class TestRadialDerivative:
         state = ref_state if which == "ref" else tail_state()
         r = np.linspace(0.05, 4.0, 157)
         u, u_t, u_r = dispersive_batch(state, r, 0.0)
-        z0 = state.zeta0
+        u0, v0 = state.reduced_data(r)
+        z0, alpha, bump = state.zeta0, state.phi_c.tail, state.phi_c.bump
         for i, x in enumerate(r):
             x = float(x)
-            # d/dr (r psi0) = psi0 + r psi0', with r psi0 = zeta0 chi / 4pi + r phi_c
-            du0 = z0 * chi_prime(x) / FOUR_PI + state.phi_c.value(x) + x * state.phi_c.d1(x)
-            assert u[i] == pytest.approx(x * state.psi0(x), rel=1e-13, abs=1e-15)
-            assert u_t[i] == pytest.approx(x * state.pi0(x), rel=1e-13, abs=1e-15)
+            # r psi0 = zeta0 chi / 4pi + r bump + alpha (1 - chi) / 4pi, the last the tail
+            du0 = (z0 - alpha) * chi_prime(x) / FOUR_PI + bump.value(x) + x * bump.d1(x)
+            assert u[i] == pytest.approx(u0[i], rel=1e-13, abs=1e-15)
+            assert u_t[i] == pytest.approx(v0[i], rel=1e-13, abs=1e-15)
             assert u_r[i] == pytest.approx(du0, rel=1e-12, abs=1e-13)
 
     @pytest.mark.parametrize("which", ["ref", "tails"])
@@ -176,27 +166,28 @@ class TestLambdaTrace:
     def test_initial_value(self, ref_state):
         expected = ref_state.nl.F(0.5) + 0.3 / FOUR_PI
         assert lambda_at(ref_state, 0.0) == pytest.approx(expected, abs=1e-14)
-        assert lambda_trace(ref_state, 1e-9) == pytest.approx(expected, abs=1e-8)
+        assert lambda_at(ref_state, 1e-9) == pytest.approx(expected, abs=1e-8)
 
     def test_domain_error(self, ref_state):
-        with pytest.raises(ValueError):
-            lambda_trace(ref_state, 0.0)
-        with pytest.raises(ValueError):
-            lambda_trace(ref_state, -1.0)
+        # the origin belongs to lambda_at; the field evaluators refuse it and say so
+        with pytest.raises(ValueError, match="lambda_at gives the origin trace"):
+            dispersive_eval(ref_state, 0.0, 1.0)
+        with pytest.raises(ValueError, match="requires t >= 0"):
+            dispersive_eval(ref_state, 1.0, -1.0)
 
     def test_support_expiry_is_exact_zero(self, ref_state):
         for t in (2.0001, 2.5, 7.0, 40.0):
-            assert lambda_trace(ref_state, t) == 0.0
+            assert lambda_at(ref_state, t) == 0.0
 
     def test_plateau_no_cutoff_contribution(self):
         # compatible state with zeta0 = 1 and no bump: chi'(0.5) = 0 kills lambda
         state = pw.make_initial_state(ZERO_PROFILE, ZERO_PROFILE, 1.0, 0.0, pw.cubic())
-        assert lambda_trace(state, 0.5) == 0.0
+        assert lambda_at(state, 0.5) == 0.0
 
     def test_stationary_trace_vanishes_identically(self):
         state = pw.stationary_data(1.0, pw.cubic())
         for t in np.linspace(0.05, 5.0, 57):
-            assert lambda_trace(state, float(t)) == 0.0
+            assert lambda_at(state, float(t)) == 0.0
 
     def test_engineered_silent_source(self):
         # bump = z0 chi and pi_c = -z0 chi' (1 + G) with zeta_dot0 = -4 pi z0
@@ -230,7 +221,7 @@ class TestLambdaTrace:
         for t in (0.4, 0.9, 1.6, 2.5):
             vals = [dispersive_eval(ref_state, r, t)[0] for r in radii]
             extrapolated = float(np.linalg.solve(vander, np.array(vals))[0])
-            assert extrapolated == pytest.approx(lambda_trace(ref_state, t), abs=1e-8)
+            assert extrapolated == pytest.approx(lambda_at(ref_state, t), abs=1e-8)
 
     def test_continuity_under_refinement(self, ref_state):
         def max_jump(n):
@@ -279,26 +270,26 @@ class TestLambdaPrime:
 
 class TestCutoffSingularPart:
     def test_sharp_support(self):
-        state = pure_point_state(1.3, -0.6)
+        state = bare_singular_data(1.3, -0.6)
         for r in (0.1, 0.7, 2.0, 3.5):
             for extra in (0.0, 0.8, 5.0):
                 assert psi_G_eval(state, r, r + 2.0 + extra) == 0.0
 
     def test_initial_condition(self):
-        state = pure_point_state(1.3, 0.0)
+        state = bare_singular_data(1.3, 0.0)
         for r in (0.3, 0.9, 1.5, 1.9):
             assert psi_G_eval(state, r, 0.0) == pytest.approx(
                 1.3 * chi(r) / (FOUR_PI * r), rel=1e-14
             )
 
     def test_outside_influence(self):
-        state = pure_point_state(1.0, 0.0)
+        state = bare_singular_data(1.0, 0.0)
         assert psi_G_eval(state, 3.0, 0.5) == 0.0
 
 
 class TestLocalSeminorm:
     def test_zero_state(self):
-        assert local_seminorm(pure_point_state(0.0, 0.0), 1.0, 2.0) == 0.0
+        assert local_seminorm(bare_singular_data(0.0, 0.0), 1.0, 2.0) == 0.0
 
     def test_expired_support(self, ref_state):
         # with data support 2, the free field leaves B_2 entirely by t = 4

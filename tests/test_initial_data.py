@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +12,6 @@ from pointwave.initial_data import (
     PolynomialBump,
     RadialProfile,
     SplineBump,
-    UnsupportedNormError,
     ZERO_PROFILE,
 )
 
@@ -123,10 +120,11 @@ def test_callable_bump_numeric_integral():
 
 def test_radial_profile_tail_vanishes_inside():
     prof = RadialProfile(bump=ZERO_PROFILE.bump, tail=2.0)
-    assert prof.value(0.5) == 0.0
+    inside, beyond = prof.value_arr(np.array([0.5, 3.0]))
+    assert inside == 0.0
     assert prof.value_at_origin == 0.0
     # beyond the band the tail is exactly the Coulomb kernel
-    assert prof.value(3.0) == pytest.approx(2.0 / (FOUR_PI * 3.0), rel=1e-15)
+    assert beyond == pytest.approx(2.0 / (FOUR_PI * 3.0), rel=1e-15)
 
 
 def test_make_initial_state_compatibility(nl):
@@ -148,13 +146,14 @@ def test_make_initial_state_compatibility(nl):
 
 
 def test_stationary_data_is_pure_coulomb(nl):
-    state = pw.stationary_data(1.0, nl)
-    for r in (0.01, 0.3, 1.0, 1.5, 2.7, 10.0):
-        assert state.psi0(r) == pytest.approx(1.0 / (FOUR_PI * r), rel=1e-14)
-        assert state.pi0(r) == 0.0
+    # r psi0 = q / 4pi and r pi0 = 0 at every radius, the origin included
+    r = np.array([0.0, 0.01, 0.3, 1.0, 1.5, 2.7, 10.0])
+    u0, v0 = pw.stationary_data(1.0, nl).reduced_data(r)
+    assert u0 == pytest.approx(np.full_like(r, 1.0 / FOUR_PI), rel=1e-14)
+    assert np.all(v0 == 0.0)
 
-    zero = pw.stationary_data(0.0, nl)
-    assert zero.psi0(0.5) == 0.0
+    u0, _ = pw.stationary_data(0.0, nl).reduced_data(0.5)
+    assert u0 == 0.0
 
     with pytest.raises(ValueError):
         pw.stationary_data(0.5, nl)
@@ -167,83 +166,8 @@ def test_total_data_assembly(nl):
     )
     for r in (0.2, 0.9, 1.4, 1.9):
         expected = 0.3 * chi(r) / (FOUR_PI * r) + bump.value(r)
-        assert state.psi0(r) == pytest.approx(expected, rel=1e-15)
+        assert state.reduced_data(r)[0] / r == pytest.approx(expected, rel=1e-15)
     # compact support: everything dies past max(2, rho)
-    for r in (2.05, 3.0, 8.0):
-        assert state.psi0(r) == 0.0
-        assert state.pi0(r) == 0.0
-
-
-def _tail_gradient_energy():
-    """Independent oracle: |grad w|^2 with w = (1 - chi) G, by scipy quadrature."""
-
-    def wp(r):
-        g = 1.0 / (FOUR_PI * r)
-        g1 = -1.0 / (FOUR_PI * r * r)
-        return -chi_prime(r) * g + (1.0 - chi(r)) * g1
-
-    grad2, _ = quad(lambda r: FOUR_PI * r * r * wp(r) ** 2, 1.0, 2.0, epsabs=1e-13, limit=400)
-    return grad2 + 1.0 / (8.0 * math.pi)
-
-
-def _tail_laplacian_energy():
-    def wp(r):
-        g = 1.0 / (FOUR_PI * r)
-        g1 = -1.0 / (FOUR_PI * r * r)
-        return -chi_prime(r) * g + (1.0 - chi(r)) * g1
-
-    def lapw(r):
-        g = 1.0 / (FOUR_PI * r)
-        g1 = -1.0 / (FOUR_PI * r * r)
-        g2 = 2.0 / (FOUR_PI * r**3)
-        h = 1e-5
-        cs = (chi_prime(r + h) - chi_prime(r - h)) / (2 * h)  # FD, independent path
-        w2 = -cs * g - 2.0 * chi_prime(r) * g1 + (1.0 - chi(r)) * g2
-        return w2 + 2.0 * wp(r) / r
-
-    lap2, _ = quad(lambda r: FOUR_PI * r * r * lapw(r) ** 2, 1.0, 2.0, epsabs=1e-12, limit=400)
-    return lap2
-
-
-def test_phase_norm_zero_state(nl):
-    state = pw.make_initial_state(ZERO_PROFILE, ZERO_PROFILE, 0.0, 0.0, nl)
-    assert pw.phase_norm(state) == 0.0
-
-
-def test_phase_norm_point_position(nl):
-    # zeta0 = 1 contributes 1 + the tail-term seminorms (gradient + laplacian)
-    state = pw.make_initial_state(ZERO_PROFILE, ZERO_PROFILE, 1.0, 0.0, nl)
-    expected = 1.0 + _tail_gradient_energy() + _tail_laplacian_energy()
-    assert pw.phase_norm(state) == pytest.approx(expected, rel=1e-7)
-
-
-def test_phase_norm_point_velocity(nl):
-    state = pw.make_initial_state(ZERO_PROFILE, ZERO_PROFILE, 1.0, 3.0, nl)
-    base = pw.phase_norm(pw.make_initial_state(ZERO_PROFILE, ZERO_PROFILE, 1.0, 0.0, nl))
-    expected = base + 9.0 + 9.0 * _tail_gradient_energy()
-    assert pw.phase_norm(state) == pytest.approx(expected, rel=1e-9)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.floats(min_value=0.1, max_value=3.0))
-def test_phase_norm_quadratic_scaling(c):
-    nl = pw.linear()
-    base_bump = PolynomialBump(amplitude=0.0, support_radius=1.0)
-    pi_bump = PolynomialBump(amplitude=0.7, support_radius=1.3)
-    one = pw.make_initial_state(
-        RadialProfile(bump=base_bump), RadialProfile(bump=pi_bump), 0.0, 0.0, nl
-    )
-    scaled = pw.make_initial_state(
-        RadialProfile(bump=base_bump),
-        RadialProfile(bump=PolynomialBump(amplitude=0.7 * c, support_radius=1.3)),
-        0.0,
-        0.0,
-        nl,
-    )
-    assert pw.phase_norm(scaled) == pytest.approx(c * c * pw.phase_norm(one), rel=1e-9)
-
-
-def test_phase_norm_rejects_tails(nl):
-    state = pw.stationary_data(1.0, nl)
-    with pytest.raises(UnsupportedNormError):
-        pw.phase_norm(state)
+    u0, v0 = state.reduced_data(np.array([2.05, 3.0, 8.0]))
+    assert np.all(u0 == 0.0)
+    assert np.all(v0 == 0.0)

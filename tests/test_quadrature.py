@@ -77,6 +77,26 @@ def test_partial_sums_within_tol():
     assert np.max(np.abs(np.cumsum(pieces) - np.sin(edges[1:]))) <= 1e-12
 
 
+def test_tol_is_relative_to_large_integrals():
+    # past size 1, tol bounds the error relative to the first level's size: a
+    # power-of-two scale multiplies every estimate exactly, so the refinement
+    # is the same and the result is scaled exactly, where an absolute 1e-13
+    # would be far below round-off
+    runs = []
+    for c in (2.0, 2.0**60):
+        points = []
+
+        def f(x, c=c, points=points):
+            points.append(x.size)
+            return c * smooth(x)
+
+        runs.append((float(integrate_panels(f, [0.0, 1.0, 2.0], 1e-13)), sum(points)))
+    (small, n_small), (big, n_big) = runs
+    assert small > 1.0
+    assert n_big == n_small
+    assert big == small * 2.0**59
+
+
 def test_calls_are_blocks_of_panels():
     sizes = []
 

@@ -216,6 +216,18 @@ class TestRunScenario:
         rb.pop("wall_seconds")
         assert ra == rb
 
+    @pytest.mark.parametrize("zeta0", [3.0, 5.0])
+    def test_large_data_passes_at_default_tol(self, zeta0):
+        # H0 is 1.1e3 at zeta0 = 3 and 2.8e4 at 5: the audits' tol is relative
+        # to the size of the integral, so they never ask for round-off
+        text = (SHIPPED / "reference.cfg").read_text()
+        text = with_line(with_line(text, f"data.zeta0 = {zeta0}"), "ode.t_final = 20.0")
+        result = run_scenario(parse_config(text))
+        assert result.ok, result.failures
+        assert abs(result.H0) > 1e3
+        assert result.report.q_plus == pytest.approx(-1.0, abs=1e-9)
+        assert result.report.energy_drift_rel < 1e-12
+
     def test_failed_check_reported(self, tmp_path):
         # far-too-short horizon: the amplitude cannot have settled yet
         text = """
@@ -348,6 +360,21 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_artifact_run_loads_no_numpy_ma(self, tmp_path):
+        # numpy.ma costs about 1 MiB per process; the artifact writers merge
+        # their panel edges without the set routines that import it
+        code = (
+            "import sys, pointwave.runner\n"
+            "from pointwave.scenario import load_config\n"
+            f"pointwave.runner.run_scenario(load_config({str(SHIPPED / 'reference.cfg')!r}), {str(tmp_path)!r})\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "zeta.csv").exists()
+        assert proc.stdout.strip() == "False"
 
     def test_time_reversal_flag(self, tmp_path):
         cfg = tmp_path / "fwd.cfg"

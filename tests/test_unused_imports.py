@@ -1,4 +1,4 @@
-"""Every import in the package modules and the tests is used.
+"""Every import in the package modules, the tests and the benchmark is used.
 
 A dependency-free stand-in for pyflakes' F401: an imported name that no
 ast.Name in its module refers to is reported, unless the line that binds it
@@ -14,7 +14,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     p
-    for p in [*(ROOT / "src" / "pointwave").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    for d in (ROOT / "src" / "pointwave", ROOT / "tests", ROOT / "perfbench")
+    for p in d.glob("*.py")
     if p.name != "__init__.py"
 )
 

@@ -18,7 +18,6 @@ from pointwave.zeta_dynamics import (
     ZetaHistory,
     detect_limit,
     integrate_source,
-    rhs,
     step_cap,
     zeta_at,
 )
@@ -35,9 +34,15 @@ def linear_trunc():
 
 
 def test_rhs_examples(cubic_trunc, linear_trunc):
-    assert rhs(cubic_trunc, 0.5, 0.0) == pytest.approx(FOUR_PI * 0.375, rel=1e-15)
-    assert rhs(cubic_trunc, 1.0, 0.0) == 0.0
-    assert rhs(linear_trunc, 0.0, 0.25) == pytest.approx(math.pi, rel=1e-15)
+    # the node derivative is the right-hand side 4 pi (lambda - F~(zeta))
+    cfg = ODEConfig(t_final=0.1)
+    assert integrate_source(cubic_trunc, 0.5, lambda t: 0.0, cfg).derivs[0] == pytest.approx(
+        FOUR_PI * 0.375, rel=1e-15
+    )
+    assert np.all(integrate_source(cubic_trunc, 1.0, lambda t: 0.0, cfg).derivs == 0.0)
+    assert integrate_source(linear_trunc, 0.0, lambda t: 0.25, cfg).derivs[0] == pytest.approx(
+        math.pi, rel=1e-15
+    )
 
 
 def test_linear_decay_closed_form(linear_trunc):
