@@ -14,8 +14,9 @@ has the origin trace psi_reg(0, t) = d_r u(0, t), which equals
 F(zeta(t)) = lambda(t) - zeta'(t) / 4pi; regular_trace evaluates it exactly.
 
 _assemble is the one place the two parts are added, on an array of radii
-r >= 0; psi_total divides by r at the end, and energy, distance_to_stationary
-and regular_trace read u directly.  The conserved energy is
+r >= 0, and it adds only their derivatives, all that energy and regular_trace
+read; psi_total and distance_to_stationary add u_f from dispersive_value, and
+psi_total divides by r at the end.  The conserved energy is
 
     H = 1/2 int (psi_t^2 + |grad psi_reg|^2) + U(zeta) = 2 pi int_0^R (u_t^2 + u_r^2) dr + U(zeta),
 
@@ -52,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # dispersive_eval stays bound because perfbench/tracer.py wraps it by this name
-from .free_wave import check_domain, dispersive_batch, dispersive_eval, reduction  # noqa: F401
+from .free_wave import dispersive_eval  # noqa: F401
+from .free_wave import check_domain, dispersive_batch, dispersive_value, reduction
 from .initial_data import FOUR_PI, InitialState
 from .quadrature import integrate_panel, integrate_panels, split_points
 from .zeta_dynamics import ZetaHistory, zeta_at
@@ -121,12 +123,12 @@ def u_singular(history: ZetaHistory | None, r: np.ndarray, t: float) -> tuple:
 
 
 def _assemble(state: InitialState, history: ZetaHistory | None, r: np.ndarray, t: float) -> tuple:
-    """((u, d_t u, d_r u), (u_f, d_t u_f, u_S, d_t u_S)) at radii r >= 0."""
+    """(d_t u, d_r u, d_t u_f, u_S, d_t u_S) at radii r >= 0: all but the free value u_f."""
     # retarded part first: the Hermite temporaries of zeta_at then peak before
     # the free part's arrays exist (about 0.75 MiB less at 32,767 radii)
     us, us_t = u_singular(history, r, t)
-    uf, uf_t, uf_r = dispersive_batch(state, r, t)
-    return (uf + us, uf_t + us_t, uf_r - us_t), (uf, uf_t, us, us_t)
+    uf_t, uf_r = dispersive_batch(state, r, t)
+    return uf_t + us_t, uf_r - us_t, uf_t, us, us_t
 
 
 def psi_total(
@@ -135,7 +137,9 @@ def psi_total(
     """Assembled field at radii r with its dispersive/singular/regular breakdown."""
     check_domain(r, t)
     r = np.asarray(r, dtype=float)
-    (u, u_t, _), (uf, uf_t, us, us_t) = _assemble(state, history, r, t)
+    u_t, _, uf_t, us, us_t = _assemble(state, history, r, t)
+    uf = dispersive_value(state, r, t)
+    u = uf + us
     z, _ = _zeta_pair(state, history, t)
     return FieldSample(
         r=r[()],
@@ -154,7 +158,7 @@ def regular_trace(state: InitialState, history: ZetaHistory, t: float) -> float:
     """Origin trace of psi - zeta(t) G, which is d_r u(0, t) exactly."""
     if t <= 0.0:
         raise ValueError("regular_trace requires t > 0")
-    (_, _, u_r), _ = _assemble(state, history, np.zeros(1), t)
+    _, u_r, *_ = _assemble(state, history, np.zeros(1), t)
     return float(u_r[0])
 
 
@@ -191,7 +195,7 @@ def energy(
     z_now, _ = _zeta_pair(state, history, t)
 
     def integrand(r: np.ndarray) -> np.ndarray:
-        (_, u_t, u_r), _ = _assemble(state, history, r, t)
+        u_t, u_r, *_ = _assemble(state, history, r, t)
         return 2.0 * math.pi * np.stack([u_t * u_t, u_r * u_r], axis=-1)
 
     pts = _breakpoints(state, history, t, R_quad)
@@ -286,7 +290,8 @@ def distance_to_stationary(
         raise ValueError("q must be finite")
 
     def integrand(r: np.ndarray) -> np.ndarray:
-        (u, u_t, _), _ = _assemble(state, history, r, t)
+        u_t, _, _, us, _ = _assemble(state, history, r, t)
+        u = dispersive_value(state, r, t) + us
         return FOUR_PI * np.stack([(u - q / FOUR_PI) ** 2, u_t * u_t], axis=-1)
 
     pos2, vel2 = integrate_panels(integrand, _breakpoints(state, history, t, R), quad_tol)

@@ -9,18 +9,19 @@ value), so evaluation is closed form everywhere off the light cone:
     u_f(r, t) = [u0(r+t) + u0(r-t) + V(r+t) - V(r-t)] / 2
 
 with u0 the odd extension of s * psi0(|s|) and V the even antiderivative of
-the odd extension of v0(s) = s * pi0(|s|).  dispersive_batch is the one
-evaluator of this formula, on arrays and at every r >= 0 (u_f(0, t) = 0 by
-oddness): it returns u_f and its time and radial derivatives, with no
-division by r.  dispersive_eval is its validating view for psi_f = u_f / r
-at r > 0, psi_G_eval the same formula on initial_data.bare_singular_data
-(the sharp-support check), and local_seminorm differentiates psi_f by
-stencils.  The origin trace lambda(t) = d_r u_f(0, t) at t >= 0, the source
-of the reduced oscillator equation, is assembled analytically in scalar
-form: the ODE loop calls it once per stage, where an array call would cost
-far more than the formula.  lambda_prime_at is its derivative in the same
-form, for the exact zeta'' the ODE stores at every node.  Both are constant
-from the support time, the state's support_radius, on.
+the odd extension of v0(s) = s * pi0(|s|).  dispersive_value evaluates this
+formula and dispersive_batch its time and radial derivatives, on arrays and
+at every r >= 0 (u_f(0, t) = 0 by oddness), with no division by r; the
+energy reads only the derivatives.  dispersive_eval is their validating view
+for psi_f = u_f / r at r > 0, psi_G_eval the same formula on
+initial_data.bare_singular_data (the sharp-support check), and
+local_seminorm differentiates psi_f by stencils.  The origin trace
+lambda(t) = d_r u_f(0, t) at t >= 0, the source of the reduced oscillator
+equation, is assembled analytically in scalar form: the ODE loop calls it
+once per stage, where an array call would cost far more than the formula.
+lambda_prime_at is its derivative in the same form, for the exact zeta'' the
+ODE stores at every node.  Both are constant from the support time, the
+state's support_radius, on.
 """
 
 from __future__ import annotations
@@ -108,15 +109,22 @@ def reduction(state: InitialState) -> OddReduction:
 
 def dispersive_batch(
     state: InitialState, r: np.ndarray, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u_f, d_t u_f, d_r u_f) of u_f = r psi_f at radii r >= 0 and times t, broadcast together."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(d_t u_f, d_r u_f) of u_f = r psi_f at radii r >= 0 and times t, broadcast together."""
     red = reduction(state)
     r = np.asarray(r, dtype=float)
     sp, sm = r + t, r - t
     up_p, up_m = red.u0_prime(sp), red.u0_prime(sm)
     v_p, v_m = red.v0(sp), red.v0(sm)
-    u = 0.5 * (red.u0(sp) + red.u0(sm) + red.V(sp) - red.V(sm))
-    return u, 0.5 * (up_p - up_m + v_p + v_m), 0.5 * (up_p + up_m + v_p - v_m)
+    return 0.5 * (up_p - up_m + v_p + v_m), 0.5 * (up_p + up_m + v_p - v_m)
+
+
+def dispersive_value(state: InitialState, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """u_f = r psi_f itself at radii r >= 0 and times t, broadcast together."""
+    red = reduction(state)
+    r = np.asarray(r, dtype=float)
+    sp, sm = r + t, r - t
+    return 0.5 * (red.u0(sp) + red.u0(sm) + red.V(sp) - red.V(sm))
 
 
 def check_domain(r: np.ndarray, t: float) -> None:
@@ -139,8 +147,7 @@ def dispersive_eval(
             OnConeWarning,
             stacklevel=2,
         )
-    u, u_t, _ = dispersive_batch(state, r, t)
-    return u / r, u_t / r
+    return dispersive_value(state, r, t) / r, dispersive_batch(state, r, t)[0] / r
 
 
 def lambda_at(state: InitialState, t: float) -> float:

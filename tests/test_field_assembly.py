@@ -369,20 +369,22 @@ class TestEnergyLedger:
 
 def test_energy_audit_calls_the_integrand_per_block_and_level(reference_config_run, monkeypatch):
     # each level evaluates its active panels in blocks of PANEL_BLOCK, so the
-    # call count is bounded by levels x blocks and no call exceeds one block
+    # call count is bounded by levels x blocks and no call exceeds one block;
+    # the audit reads the free part's derivatives only, never its value
     state, hist = reference_config_run["state"], reference_config_run["history"]
-    assemble, calls = field_assembly._assemble, []
+    batch, calls, values = field_assembly.dispersive_batch, [], []
     gauss, levels = quadrature._gauss, []
 
-    def counted(state, history, r, t):
+    def counted(state, r, t):
         calls.append(np.size(r))
-        return assemble(state, history, r, t)
+        return batch(state, r, t)
 
     def per_level(f, a, b):
         levels.append(len(a))
         return gauss(f, a, b)
 
-    monkeypatch.setattr(field_assembly, "_assemble", counted)
+    monkeypatch.setattr(field_assembly, "dispersive_batch", counted)
+    monkeypatch.setattr(field_assembly, "dispersive_value", lambda *a: values.append(a))
     monkeypatch.setattr(quadrature, "_gauss", per_level)
     energy(state, hist, 20.0)
     panels = levels[0]
@@ -390,6 +392,7 @@ def test_energy_audit_calls_the_integrand_per_block_and_level(reference_config_r
     assert len(calls) <= len(levels) * math.ceil(panels / PANEL_BLOCK)
     assert max(calls) == 14 * PANEL_BLOCK
     assert sum(calls) == 14 * sum(levels)
+    assert values == []
 
 
 def test_artifact_path_audits_only(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from pointwave.free_wave import (
     OnConeWarning,
     dispersive_batch,
     dispersive_eval,
+    dispersive_value,
     lambda_at,
     lambda_prime_at,
     local_seminorm,
@@ -133,13 +134,14 @@ def tail_state():
 
 
 class TestRadialDerivative:
-    """d_r u_f of dispersive_batch, the one radial-derivative formula (u_f = r psi_f)."""
+    """d_r u_f of dispersive_batch, the one radial-derivative formula (u_f = r psi_f
+    is dispersive_value's)."""
 
     @pytest.mark.parametrize("which", ["ref", "tails"])
     def test_initial_data(self, ref_state, which):
         state = ref_state if which == "ref" else tail_state()
         r = np.linspace(0.05, 4.0, 157)
-        u, u_t, u_r = dispersive_batch(state, r, 0.0)
+        u, (u_t, u_r) = dispersive_value(state, r, 0.0), dispersive_batch(state, r, 0.0)
         u0, v0 = state.reduced_data(r)
         z0, alpha, bump = state.zeta0, state.phi_c.tail, state.phi_c.bump
         for i, x in enumerate(r):
@@ -157,8 +159,8 @@ class TestRadialDerivative:
         r = np.linspace(0.05, 6.0, 211)
         kinks = np.array(sorted(reduction(state).kink_radii(t, 0.0, 7.0)))
         r = r[np.min(np.abs(r[:, None] - kinks[None, :]), axis=1) > 1e-3]
-        _, _, u_r = dispersive_batch(state, r, t)
-        fd = (dispersive_batch(state, r + h, t)[0] - dispersive_batch(state, r - h, t)[0]) / (2 * h)
+        _, u_r = dispersive_batch(state, r, t)
+        fd = (dispersive_value(state, r + h, t) - dispersive_value(state, r - h, t)) / (2 * h)
         assert np.max(np.abs(u_r - fd)) < 1e-8
 
 
