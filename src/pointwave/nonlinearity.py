@@ -149,13 +149,6 @@ class Nonlinearity:
         """U -> +inf as |z| -> inf: F has odd degree and a positive leading coefficient."""
         return len(self._f) % 2 == 0 and self._f[0] > 0.0
 
-    def slope_range(self, a: float, b: float) -> tuple[float, float]:
-        """(min, max) of F' between a and b: at the ends and the real roots of F'' inside."""
-        lo, hi = min(a, b), max(a, b)
-        inner = [r for r in _real_roots(_derivative(self._fp)) if lo < r < hi]
-        slopes = [float(self.F_prime(z)) for z in (lo, hi, *inner)]
-        return min(slopes), max(slopes)
-
     def rest_point(self, z: float, c: float, bound: float) -> float:
         """Limit of the monotone flow zeta' = 4 pi (c - F(zeta)) from z: the first real
         root of F - c from z on in the direction of c - F(z), nan if none in [-bound, bound]."""
@@ -294,7 +287,10 @@ def build_truncation(nl: Nonlinearity, Lambda: float) -> TruncatedNonlinearity:
     u_lo, f_lo = nl.eval(-Lambda)
     c_hi = max(nl.F_prime(Lambda), CURVATURE_FLOOR)
     c_lo = max(nl.F_prime(-Lambda), CURVATURE_FLOOR)
-    lo, hi = nl.slope_range(-Lambda, Lambda)
+    # F' on the window is extreme at its ends or at the real roots of F'' inside
+    inner = [r for r in _real_roots(_derivative(nl._fp)) if -Lambda < r < Lambda]
+    slopes = [float(nl.F_prime(z)) for z in (-Lambda, Lambda, *inner)]
+    lo, hi = min(slopes), max(slopes)
     return TruncatedNonlinearity(
         nl, Lambda, max(hi, -lo, c_hi, c_lo), lo, u_hi, u_lo, f_hi, f_lo, c_hi, c_lo
     )

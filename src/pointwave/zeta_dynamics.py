@@ -1,20 +1,22 @@
 """Reduced dynamics of the point amplitude: zeta' = 4 pi (lambda(t) - F(zeta)).
 
-Integrated with an adaptive embedded Dormand-Prince 5(4) pair.  Every
-accepted node stores zeta, zeta' and the exact zeta'' = 4 pi (lambda'(t) -
+Every node stores zeta, zeta' and the exact zeta'' = 4 pi (lambda'(t) -
 F~'(zeta) zeta'), so the dense output is the quintic Hermite interpolant: C2,
 with local error O(dt^6) (Hairer, Norsett, Wanner, Solving ODEs I, II.6).
 zeta_at is its one evaluator, for one time or for the array of retarded
-times a field evaluation needs.  A step is accepted when both DP5's embedded
-error and the defect of the candidate quintic are within tolerance; the
-defect is the residual of the equation at the stage times 3/10 and 8/9,
-where the stages already hold lambda.  The step is capped at the pair's real
-stability boundary for the global Lipschitz constant, and once the source
-has expired by the slope on the interval the flow still crosses (see
-step_cap).  The a priori amplitude bound is monitored: an accepted node
-outside [-Lambda, Lambda] aborts the run (it would mean the truncated force
-differed from the true one along the trajectory).  So is the work: more
-than ATTEMPTS_PER_CAP attempts per global step cap of the horizon raise.
+times a field evaluation needs.  While the source acts, an adaptive embedded
+Dormand-Prince 5(4) pair makes the nodes, capped at its real stability
+boundary (see step_cap).  A step is accepted when both DP5's embedded error
+and the defect of the candidate quintic are within tolerance; the defect is
+the residual of the equation at the stage times 3/10 and 8/9, where the
+stages already hold lambda.  DP5 lands a node on the source's expiry t_s.
+From there zeta' = 4 pi (c - F(zeta)) is autonomous and monotone towards its
+rest point q, and its exact time map makes the nodes, spaced by the same
+defect test (see _time_map); without a certified q with F'(q) > 0, DP5 goes
+on.  The a priori amplitude bound is monitored: an accepted DP5 node outside
+[-Lambda, Lambda] aborts the run (it would mean the truncated force differed
+from the true one along the trajectory).  So is the work: more than
+ATTEMPTS_PER_CAP attempts per global step cap of the horizon raise.
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .free_wave import lambda_at, lambda_prime_at, reduction
 from .initial_data import FOUR_PI, InitialState
-from .nonlinearity import Nonlinearity, TruncatedNonlinearity
+from .nonlinearity import Nonlinearity, TruncatedNonlinearity, _derivative, _horner
+from .quadrature import _W8, _X8
 
 
 class IntegrationError(RuntimeError):
@@ -55,32 +59,21 @@ class ODEConfig:
 # z* > 0 with R(-z*) = 1, R(z) = sum_{k<=5} z^k / k! + z^6 / 600 the stability
 # function of DP5 (Hairer, Norsett, Wanner, Solving ODEs I, II.4)
 DP5_REAL_BOUNDARY = 3.3065678926349467
-# a point strictly inside (0, z*): R(-3) = 0.565, so a step at this bound
-# contracts onto a rest state; at z* it is neutral there
-DP5_CONTRACTIVE = 3.0
 # attempted steps allowed per global step cap of the horizon: 14.7x the most a
 # test needs (682, a wrong source derivative), 770x the most a benchmark needs
 ATTEMPTS_PER_CAP = 10_000
 
 
-def step_cap(trunc: TruncatedNonlinearity, span: tuple[float, float] | None = None) -> float:
+def step_cap(trunc: TruncatedNonlinearity) -> float:
     """Largest step the DP5 pair takes safely on zeta' = 4 pi (c - F~(zeta)).
 
     Near a rest state q a step multiplies zeta - q by R(-dt 4 pi F~'(q)), and
     0.173 <= R <= 1 on [-z*, 0]: no step within z* / (4 pi L), L the
     Lipschitz constant of F~ (at least its curvature floor), overshoots q or
-    moves away from it.  Past z*, R > 1 and steps move away.
-
-    That global cap holds while the source acts.  Once it has expired the
-    flow is monotone and stays in the span between its value and its limit q,
-    inside [-Lambda, Lambda], so the cap is DP5_CONTRACTIVE / (4 pi max F~')
-    with the maximum on that span, and never below the global cap.
+    moves away from it.  Past z*, R > 1 and steps move away.  The time map
+    that follows the source's expiry needs no cap.
     """
-    cap = DP5_REAL_BOUNDARY / (FOUR_PI * trunc.lipschitz_constant)
-    if span is None:
-        return cap
-    slope = trunc.base.slope_range(*span)[1]
-    return max(cap, DP5_CONTRACTIVE / (FOUR_PI * slope)) if slope > 0.0 else cap
+    return DP5_REAL_BOUNDARY / (FOUR_PI * trunc.lipschitz_constant)
 
 
 @dataclass(eq=False)
@@ -159,6 +152,63 @@ _DEFECT_WEIGHTS = tuple(
 )
 
 
+def _resize(dt: float, ratio: float) -> float:
+    """Next step after one of error ratio `ratio` (accepted if <= 1), within [dt / 5, 5 dt]."""
+    factor = 0.9 * ratio ** -0.2 if ratio > 0.0 else 5.0
+    return dt * min(5.0, max(0.2, factor))
+
+
+def _time_map(shift: np.ndarray, q: float, nodes: list, dt: float, cfg: ODEConfig, spend) -> None:
+    """Append nodes up to t_final of zeta' = 4 pi (c - F(zeta)) from nodes[-1], at t_s,
+    on to its rest point q; shift holds the coefficients of F(q + e) in e, highest first.
+
+    zeta = q + e_s exp(-x) gives dx/dt = 4 pi P(e) > 0, P(e) = (F(q + e) - F(q)) / e,
+    so a node at x has zeta, zeta' = -4 pi e P(e) and zeta'' = -4 pi F'(zeta)
+    zeta' exactly.  Its time adds the 8-point Gauss rule for int dx / (4 pi P):
+    exact to degree 15 in x, ten beyond the quintic whose defect at the stage
+    times accepts the step, as in DP5.  A step past t0 + max_step or t_final
+    lands on it by Newton on x.
+    """
+    t0, y0, d0, s0 = nodes[-1]
+    e_s, p, fp = y0 - q, shift[:-1].tolist(), _derivative(shift.tolist())
+    if e_s == 0.0:
+        nodes.append((cfg.t_final, y0, 0.0, 0.0))
+        return
+
+    def rate(e):  # dx/dt
+        return FOUR_PI * _horner(p, e)
+
+    def elapsed(x0, x1):  # t(x1) - t(x0)
+        mid, half = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
+        return half * float(_W8 @ (1.0 / rate(e_s * np.exp(-(mid + half * _X8)))))
+
+    weights = np.array(_DEFECT_WEIGHTS)  # [stage, z or z', term]
+    x0, dx = 0.0, dt * rate(e_s)
+    while t0 < cfg.t_final:
+        limit = min(cfg.t_final, t0 + cfg.max_step)
+        x1 = x0 + dx
+        t1 = t0 + elapsed(x0, x1)
+        if t1 >= limit:  # Newton on x, down to round-off
+            step = math.inf
+            while abs(newton := (limit - t1) * rate(e_s * math.exp(-x1))) < abs(step):
+                step, x1 = newton, max(x1 + newton, x0)
+                t1 = t0 + elapsed(x0, x1)
+            t1 = limit
+        h = t1 - t0
+        spend(t0, h)
+        e1 = e_s * math.exp(-x1)
+        y1, d1 = q + e1, -rate(e1) * e1
+        s1 = -FOUR_PI * _horner(fp, e1) * d1
+        e = weights[:, 0] @ (y0 - q, e1, h * d0, h * d1, h * h * s0, h * h * s1)
+        zd = weights[:, 1] @ (0.0, (y1 - y0) / h, d0, d1, h * s0, h * s1)
+        defect = h * np.max(np.abs(zd + rate(e) * e))
+        ratio = defect / (cfg.abs_tol + cfg.rel_tol * max(abs(y0), abs(y1)))
+        dx = _resize(x1 - x0, ratio)
+        if ratio <= 1.0:
+            t0, x0, y0, d0, s0 = t1, x1, y1, d1, s1
+            nodes.append((t1, y1, d1, s1))
+
+
 def integrate_source(
     trunc: TruncatedNonlinearity,
     zeta0: float,
@@ -174,24 +224,35 @@ def integrate_source(
     derivative costs steps, not accuracy: the defect estimate sees it, and
     as it is then O(dt^2) rather than O(dt^6), the steps become very short.
     source_expiry and source_limit declare that lambda = source_limit from
-    source_expiry on; they are stored on the history, and the first node
-    from then on sets the post-expiry step cap.
+    source_expiry on; they are stored on the history, and the time map
+    makes the nodes from then on where it applies (see the module doc).
     """
     lam_bound = trunc.Lambda
     F, F_prime = trunc.F, trunc.F_prime
     cap = min(cfg.max_step, step_cap(trunc))
     t_end = cfg.t_final
-    expiry = math.inf if source_expiry is None else source_expiry
+    expiry = math.inf if source_expiry is None else max(source_expiry, 0.0)
     dsource = source_prime or (lambda t: 0.0)
 
     touched_truncation = abs(zeta0) > lam_bound
     t, y = 0.0, zeta0
     k1 = FOUR_PI * (source(0.0) - F(y))
     s0 = FOUR_PI * (dsource(0.0) - F_prime(y) * k1)
-    ts, ys, ds, ss = [t], [y], [k1], [s0]
+    nodes = [(t, y, k1, s0)]
     dt = cap / 10.0
     min_step = max(t_end * 1e-15, 1e-300)
     budget = attempts_left = math.ceil(ATTEMPTS_PER_CAP * max(1.0, t_end / cap))
+
+    def spend(t: float, dt: float) -> None:
+        nonlocal attempts_left
+        if dt < min_step:
+            raise IntegrationError(f"step size underflow at t = {t}")
+        attempts_left -= 1
+        if attempts_left < 0:
+            raise IntegrationError(
+                f"{budget} attempted steps reached at t = {t}, dt = {dt:.3e}; "
+                "is the declared source derivative right?"
+            )
 
     # the tableau and the defect weights as locals, for the written-out stages
     c2, c3, c4, c5 = _C[1:5]
@@ -202,19 +263,16 @@ def integrate_source(
     ((q0, q1, q2, q3, q4, q5), (_, w1, w2, w3, w4, w5)) = _DEFECT_WEIGHTS[1]
 
     while t < t_end:
-        if t >= expiry:
+        if t == expiry:
             expiry = math.inf
             q = trunc.base.rest_point(y, source_limit, lam_bound)
-            cap = min(cfg.max_step, step_cap(trunc, (y, q) if math.isfinite(q) else None))
-        dt = min(dt, cap, t_end - t)
-        if dt < min_step:
-            raise IntegrationError(f"step size underflow at t = {t}")
-        attempts_left -= 1
-        if attempts_left < 0:
-            raise IntegrationError(
-                f"{budget} attempted steps reached at t = {t}, dt = {dt:.3e}; "
-                "is the declared source derivative right?"
-            )
+            shift = Polynomial(trunc.base.coefficients)(Polynomial([q, 1.0])).coef[::-1]
+            if abs(y) <= lam_bound and (y == q or shift[-2] > 0.0):
+                _time_map(shift, q, nodes, dt, cfg, spend)
+                break
+        stop = min(t_end, expiry)
+        dt = min(dt, cap, stop - t)
+        spend(t, dt)
         y2 = y + dt * (a21 * k1)
         k2 = FOUR_PI * (source(t + c2 * dt) - F(y2))
         y3 = y + dt * (a31 * k1 + a32 * k2)
@@ -246,26 +304,19 @@ def integrate_source(
         scale = cfg.abs_tol + cfg.rel_tol * max(abs(y), abs(y_new))
         ratio = max(abs(err), defect) / scale
         if ratio <= 1.0:
-            # land exactly on the horizon so retarded lookups at t_end succeed
-            t = t_end if dt >= t_end - t else t + dt
+            # land exactly on t_s for the time map and on t_end for retarded lookups
+            t = stop if dt >= stop - t else t + dt
             y, k1, s0 = y_new, k7, s1  # FSAL
-            ts.append(t)
-            ys.append(y)
-            ds.append(k1)
-            ss.append(s0)
+            nodes.append((t, y, k1, s0))
             if abs(y) > lam_bound:
                 raise TruncationEnteredError(
                     f"|zeta({t})| = {abs(y)} exceeds Lambda = {lam_bound}; "
                     "inconsistent energy level or integrator fault"
                 )
-        factor = 0.9 * ratio ** -0.2 if ratio > 0.0 else 5.0
-        dt *= min(5.0, max(0.2, factor))
+        dt = _resize(dt, ratio)
 
     return ZetaHistory(
-        times=np.array(ts),
-        values=np.array(ys),
-        derivs=np.array(ds),
-        second=np.array(ss),
+        *map(np.array, zip(*nodes)),  # times, values, derivs, second
         Lambda_used=lam_bound,
         truncation_activated=touched_truncation,
         source_expiry=source_expiry,

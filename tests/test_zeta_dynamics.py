@@ -9,7 +9,6 @@ from pointwave.field_assembly import distance_to_stationary, energy
 from pointwave.initial_data import FOUR_PI
 from pointwave.runner import amplitude_bound
 from pointwave.zeta_dynamics import (
-    DP5_CONTRACTIVE,
     DP5_REAL_BOUNDARY,
     _A,
     IntegrationError,
@@ -70,6 +69,8 @@ def test_stationary_fixed_point(stationary_run):
     hist = stationary_run["history"]
     assert float(np.max(np.abs(hist.values - 1.0))) == 0.0
     assert float(np.max(np.abs(hist.derivs))) == 0.0
+    # at rest when the source expires: the time map adds one node, at T
+    assert hist.times[-2] == hist.source_expiry
 
 
 def test_reference_attraction_with_brute_force_oracle(ref_state, cubic_trunc):
@@ -253,25 +254,60 @@ def test_truncation_entered_raises(ref_state):
 
 
 def test_step_cap_enforced(ref_run):
-    # the global cap while the source acts; from the first node at or past
-    # t_s the cap of the span [zeta there, q] the monotone flow crosses, where
-    # max F~' = F'(1) = 2 < L relaxes it
+    # the global cap binds DP5 while the source acts; DP5 lands a node exactly
+    # on t_s, from which the time map of the expired flow, free of the cap, goes on
     hist, trunc = ref_run["history"], ref_run["trunc"]
     k = int(np.searchsorted(hist.times, hist.source_expiry))
+    assert hist.times[k] == hist.source_expiry == 2.0
     steps = np.diff(hist.times)
-    settling = step_cap(trunc, (float(hist.values[k]), 1.0))
-    assert settling == pytest.approx(DP5_CONTRACTIVE / (FOUR_PI * 2.0), rel=1e-12)
-    assert settling > 2.0 * step_cap(trunc)
     assert float(np.max(steps[:k])) <= step_cap(trunc) + 1e-12
-    assert float(np.max(steps[k:])) <= settling * (1.0 + 1e-12)
     assert float(np.max(steps[k:])) > step_cap(trunc)
 
 
-def test_step_cap_never_below_global(cubic_trunc):
-    # a span up to +-Lambda has the global slope L: the global cap stands
-    assert step_cap(cubic_trunc, (0.0, cubic_trunc.Lambda)) == step_cap(cubic_trunc)
-    # a span where F~' <= 0 sets no cap of its own
-    assert step_cap(cubic_trunc, (-0.5, 0.5)) == step_cap(cubic_trunc)
+@pytest.mark.parametrize(
+    "kind, zeta_s, exact",
+    [
+        # F = z: zeta = exp(-4 pi t)
+        ("linear", 1.0, lambda s: np.exp(-FOUR_PI * s)),
+        # F = z^3 - z: zeta^-2 - 1 decays like exp(-8 pi t) towards q = 1,
+        # from below and from above
+        ("cubic", 0.5, lambda s: 1.0 / np.sqrt(1.0 + 3.0 * np.exp(-8.0 * math.pi * s))),
+        ("cubic", 1.5, lambda s: 1.0 / np.sqrt(1.0 - (5.0 / 9.0) * np.exp(-8.0 * math.pi * s))),
+    ],
+    ids=["linear", "cubic-below", "cubic-above"],
+)
+def test_time_map_closed_form(kind, zeta_s, exact):
+    # the source is 0 from t = 0 on, so the time map makes every node; DP5
+    # gives 2.3e-12 on the cubic cases
+    trunc = pw.build_truncation(pw.make_nonlinearity(kind), 2.0)
+    hist = integrate_source(trunc, zeta_s, lambda t: 0.0, ODEConfig(), source_expiry=0.0)
+    s = np.linspace(0.0, 50.0, 50001)
+    assert np.max(np.abs(zeta_at(hist, s)[0] - exact(s))) <= 5e-12
+    assert hist.times[-1] == 50.0
+
+
+def test_max_step_bounds_the_time_map(cubic_trunc):
+    def steps(max_step):
+        cfg = ODEConfig(max_step=max_step, t_final=5.0)
+        hist = integrate_source(cubic_trunc, 0.5, lambda t: 0.0, cfg, source_expiry=0.0)
+        assert hist.times[-1] == 5.0
+        return np.diff(hist.times)
+
+    assert steps(math.inf).max() > 0.25
+    assert steps(0.25).max() <= 0.25 + 1e-15
+
+
+def test_no_certified_rest_point_falls_back_to_dp5(linear_trunc, cubic_trunc):
+    # c = 3 puts the rest point outside Lambda = 2, and zeta = 1.5 starts
+    # outside Lambda = sqrt 2: no map, DP5 goes on and the a priori bound
+    # check stops the run
+    cfg = ODEConfig(t_final=5.0)
+    with pytest.raises(TruncationEnteredError):
+        integrate_source(
+            linear_trunc, 0.0, lambda t: 3.0, cfg, source_expiry=0.0, source_limit=3.0
+        )
+    with pytest.raises(TruncationEnteredError):
+        integrate_source(cubic_trunc, 1.5, lambda t: 0.0, cfg, source_expiry=0.0)
 
 
 def test_step_cap_boundary_is_the_tableau_root():
@@ -290,8 +326,6 @@ def test_step_cap_boundary_is_the_tableau_root():
     values = np.array([R(z) for z in np.linspace(-z_star, 0.0, 401)])
     assert values.min() > 0.0
     assert values.max() <= 1.0 + 1e-12
-    # the post-expiry bound contracts strictly, without overshoot
-    assert 0.0 < R(-DP5_CONTRACTIVE) == pytest.approx(0.565, abs=1e-12)
 
 
 def test_detect_limit_stationary(stationary_run):
