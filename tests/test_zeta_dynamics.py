@@ -216,8 +216,8 @@ def test_defect_estimate_guards_a_wrong_derivative(linear_trunc):
 
 
 def test_attraction_to_round_off_over_scalings():
-    # the post-expiry cap contracts onto q = 1 rather than stalling near it:
-    # at a cap on the stability boundary itself d(50) stayed near 3e-13
+    # after t_s the time map settles onto q = 1 rather than stalling near it:
+    # DP5 at a step cap on its stability boundary left d(50) near 3e-13
     for zeta0 in 0.5 * np.linspace(0.95, 1.05, 11):
         state, hist = _reference_run(float(zeta0), 50.0)
         assert distance_to_stationary(state, hist, 50.0, 1.0, 2.0)[0] <= 1e-15
