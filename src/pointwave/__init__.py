@@ -9,7 +9,7 @@ amplitude bound, attraction to rest states) and cross-validates against an
 independent finite-difference solver.
 """
 
-from .cutoff import chi, chi_integral, chi_prime
+from .cutoff import chi_integral, chi_jet
 from .field_assembly import (
     EnergyReport,
     FieldSample,
@@ -22,7 +22,6 @@ from .field_assembly import (
 from .free_wave import (
     OnConeWarning,
     dispersive_eval,
-    local_seminorm,
     psi_G_eval,
 )
 from .initial_data import (

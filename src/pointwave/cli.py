@@ -6,8 +6,9 @@
 `run` executes one scenario config and writes zeta.csv, field_t*.csv and
 report.json under DIR/<name>.  A negative --T requests backward time, which
 is run as the documented time reversal (same data with the velocity part
-negated).  `suite` runs every *.cfg in a directory (PW_THREADS caps the
-worker count) and prints one row per scenario and a summary line.
+negated).  `suite` runs every *.cfg in a directory (PW_THREADS, a
+non-negative integer, caps the worker count; 0 or unset means up to 4) and
+prints one row per scenario and a summary line.
 
 A scenario that raises a domain error (a ValueError or RuntimeError) gets
 the row `<name>: ERROR <Type>: <message>`, on stderr for `run`; the rest of
@@ -120,9 +121,12 @@ def main(argv: list[str] | None = None) -> int:
         if not configs:
             print(f"no *.cfg files in {args.directory}", file=sys.stderr)
             return EXIT_CONFIG
-        workers = int(os.environ.get("PW_THREADS", "0")) or min(4, os.cpu_count() or 1)
+        threads = os.environ.get("PW_THREADS", "0").strip()
+        if not threads.isdecimal():
+            raise ConfigError(f"PW_THREADS must be a non-negative integer, got {threads!r}")
+        workers = min(int(threads) or min(4, os.cpu_count() or 1), len(configs))
         payloads = [(str(c), str(args.out)) for c in configs]
-        if workers > 1 and len(configs) > 1:
+        if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_suite_worker, payloads))
         else:

@@ -6,6 +6,10 @@ needed for the velocity part of the d'Alembert reduction; the band piece has
 no closed form.  It is tabulated once as a quintic Hermite interpolant per
 cell of 1,024, from 16-point Gauss-Legendre prefix sums and the exact
 derivatives chi and chi' at the knots, to about 1e-15.
+
+chi_jet gives (chi, chi', chi'') at one number, for the scalar origin trace
+the ODE reads at every stage; chi_arr and chi_prime_arr are the array
+evaluators of the field and the audits.
 """
 
 from __future__ import annotations
@@ -26,52 +30,24 @@ BAND_CELLS = 1024  # cells of the tabulated band antiderivative
 CHI_INTEGRAL_FULL = 1.5
 
 
-def _g(s: float) -> float:
-    return math.exp(-1.0 / s) if s > 0.0 else 0.0
+def chi_jet(r: float) -> tuple[float, float, float]:
+    """(chi, chi', chi'') at a number r from one pair of exps; chi is exactly 1 for
+    r <= 1 and exactly 0 for r >= 2, where its derivatives are 0.
 
-
-def _g1(s: float) -> float:
-    return math.exp(-1.0 / s) / (s * s) if s > 0.0 else 0.0
-
-
-def _g2(s: float) -> float:
-    if s <= 0.0:
-        return 0.0
-    return math.exp(-1.0 / s) * (1.0 - 2.0 * s) / s**4
-
-
-def chi(r: float) -> float:
-    """Cutoff value; exactly 1 for r <= 1 and exactly 0 for r >= 2."""
+    chi = a / (a + b) with a = g(2 - r), b = g(r - 1) and g(s) = exp(-1/s),
+    g'(s) = g / s^2, g''(s) = g (1 - 2 s) / s^4.
+    """
     if r <= R_INNER:
-        return 1.0
+        return 1.0, 0.0, 0.0
     if r >= R_OUTER:
-        return 0.0
-    a = _g(R_OUTER - r)
-    b = _g(r - R_INNER)
-    return a / (a + b)
-
-
-def chi_prime(r: float) -> float:
-    if r <= R_INNER or r >= R_OUTER:
-        return 0.0
-    a = _g(R_OUTER - r)
-    b = _g(r - R_INNER)
-    ap = -_g1(R_OUTER - r)
-    bp = _g1(r - R_INNER)
-    return (ap * b - a * bp) / (a + b) ** 2
-
-
-def chi_second(r: float) -> float:
-    if r <= R_INNER or r >= R_OUTER:
-        return 0.0
-    a = _g(R_OUTER - r)
-    b = _g(r - R_INNER)
-    ap = -_g1(R_OUTER - r)
-    bp = _g1(r - R_INNER)
-    app = _g2(R_OUTER - r)
-    bpp = _g2(r - R_INNER)
+        return 0.0, 0.0, 0.0
+    sa, sb = R_OUTER - r, r - R_INNER
+    a, b = math.exp(-1.0 / sa), math.exp(-1.0 / sb)
+    ap, bp = -(a / (sa * sa)), b / (sb * sb)
+    app, bpp = a * (1.0 - 2.0 * sa) / sa**4, b * (1.0 - 2.0 * sb) / sb**4
     s = a + b
-    return ((app * b - a * bpp) * s - 2.0 * (ap * b - a * bp) * (ap + bp)) / s**3
+    d1 = ap * b - a * bp
+    return a / s, d1 / s**2, ((app * b - a * bpp) * s - 2.0 * d1 * (ap + bp)) / s**3
 
 
 @lru_cache(maxsize=1)
@@ -91,7 +67,7 @@ def _band_antiderivative() -> np.ndarray:
 
 
 def chi_arr(r: np.ndarray) -> np.ndarray:
-    """Vectorized cutoff, matching chi() bit for bit on the plateaus."""
+    """Vectorized cutoff, matching chi_jet bit for bit on the plateaus."""
     r = np.asarray(r, dtype=float)
     out = np.where(r <= R_INNER, 1.0, 0.0)
     band = (r > R_INNER) & (r < R_OUTER)

@@ -13,28 +13,25 @@ the odd extension of v0(s) = s * pi0(|s|).  dispersive_value evaluates this
 formula and dispersive_batch its time and radial derivatives, on arrays and
 at every r >= 0 (u_f(0, t) = 0 by oddness), with no division by r; the
 energy reads only the derivatives.  dispersive_eval is their validating view
-for psi_f = u_f / r at r > 0, psi_G_eval the same formula on
-initial_data.bare_singular_data (the sharp-support check), and
-local_seminorm differentiates psi_f by stencils.  The origin trace
+for psi_f = u_f / r at r > 0, and psi_G_eval the same formula on
+initial_data.bare_singular_data (the sharp-support check).  The origin trace
 lambda(t) = d_r u_f(0, t) at t >= 0, the source of the reduced oscillator
-equation, is assembled analytically in scalar form: the ODE loop calls it
-once per stage, where an array call would cost far more than the formula.
-lambda_prime_at is its derivative in the same form, for the exact zeta'' the
-ODE stores at every node.  Both are constant from the support time, the
-state's support_radius, on.
+equation, and its derivative lambda' are assembled analytically by
+lambda_at, in scalar form from the jets of the cutoff and the bumps: the ODE
+loop calls it once per stage, where an array call would cost far more than
+the formula, and reads lambda' for the exact zeta'' it stores at every node.
+From the support time, the state's support_radius, on, lambda is constant.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cutoff import R_OUTER, chi, chi_arr, chi_integral, chi_prime, chi_prime_arr, chi_second
+from .cutoff import R_OUTER, chi_arr, chi_integral, chi_jet, chi_prime_arr
 from .initial_data import FOUR_PI, InitialState, bare_singular_data
-from .quadrature import integrate_panel, split_points
 
 
 class OnConeWarning(UserWarning):
@@ -150,52 +147,35 @@ def dispersive_eval(
     return dispersive_value(state, r, t) / r, dispersive_batch(state, r, t)[0] / r
 
 
-def lambda_at(state: InitialState, t: float) -> float:
-    """Origin trace of the dispersive component, continuous extension at t = 0.
+def lambda_at(state: InitialState, t: float) -> tuple[float, float]:
+    """(lambda, lambda') of the origin trace of the dispersive component at t >= 0,
+    continuous at t = 0.
 
     Assembled term by term so that the stationary tail cancels the cutoff
     derivative exactly in floating point:
 
-        lambda(t) = (zeta0 - alpha_phi) chi'(t) / 4pi + zeta_dot0 chi(t) / 4pi
-                    + alpha_pi (1 - chi(t)) / 4pi
-                    + phi_bump(t) + t phi_bump'(t) + t pi_bump(t)
-
-    At t = 0 this evaluates to F(zeta0) + zeta_dot0 / 4pi by compatibility.
-    """
-    red = reduction(state)
-    if red.alpha_pi == 0.0 and t >= red.support_time:
-        return 0.0
-    c = chi(t)
-    cp = chi_prime(t)
-    point_part = (
-        (red.zeta0 - red.alpha_phi) * cp
-        + red.zeta_dot0 * c
-        + red.alpha_pi * (1.0 - c)
-    ) / FOUR_PI
-    return (
-        point_part
-        + red.phi_bump.value(t)
-        + t * red.phi_bump.d1(t)
-        + t * red.pi_bump.value(t)
-    )
-
-
-def lambda_prime_at(state: InitialState, t: float) -> float:
-    """Time derivative of lambda_at, term by term:
-
+        lambda(t)  = (zeta0 - alpha_phi) chi'(t) / 4pi + zeta_dot0 chi(t) / 4pi
+                     + alpha_pi (1 - chi(t)) / 4pi
+                     + phi_bump(t) + t phi_bump'(t) + t pi_bump(t)
         lambda'(t) = [(zeta0 - alpha_phi) chi''(t) + (zeta_dot0 - alpha_pi) chi'(t)] / 4pi
                      + 2 phi_bump'(t) + t phi_bump''(t) + pi_bump(t) + t pi_bump'(t)
 
-    Exactly 0 from the support time on, where lambda is constant.
+    At t = 0 lambda is F(zeta0) + zeta_dot0 / 4pi by compatibility.  From the
+    support time on lambda is exactly alpha_pi / 4pi and lambda' exactly 0.
     """
     red = reduction(state)
     if t >= red.support_time:
-        return 0.0
-    phi, pi = red.phi_bump, red.pi_bump
-    point_part = (
-        (red.zeta0 - red.alpha_phi) * chi_second(t) + (red.zeta_dot0 - red.alpha_pi) * chi_prime(t)
-    ) / FOUR_PI
-    return point_part + 2.0 * phi.d1(t) + t * phi.d2(t) + pi.value(t) + t * pi.d1(t)
+        return red.alpha_pi / FOUR_PI, 0.0
+    c, cp, cpp = chi_jet(t)
+    p, p1, p2 = red.phi_bump.jet(t)
+    v, v1, _ = red.pi_bump.jet(t)
+    dz = red.zeta0 - red.alpha_phi
+    point_part = (dz * cp + red.zeta_dot0 * c + red.alpha_pi * (1.0 - c)) / FOUR_PI
+    point_prime = (dz * cpp + (red.zeta_dot0 - red.alpha_pi) * cp) / FOUR_PI
+    return (
+        point_part + p + t * p1 + t * v,
+        point_prime + 2.0 * p1 + t * p2 + v + t * v1,
+    )
 
 
 def psi_G_eval(state: InitialState, r: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -205,45 +185,3 @@ def psi_G_eval(state: InitialState, r: np.ndarray, t: np.ndarray) -> np.ndarray:
     result vanishes identically (to closed-form roundoff) for t >= r + 2.
     """
     return dispersive_eval(bare_singular_data(state.zeta0, state.zeta_dot0), r, t)[0]
-
-
-def local_seminorm(state: InitialState, t: float, R: float, h_fd: float = 1e-3) -> float:
-    """Local H2 x H1 strength of the dispersive component on the ball of radius R.
-
-    Radial quadrature of |psi_f|^2 + |psi_f'|^2 + |lap psi_f|^2 + |psi_f_dot|^2
-    + |psi_f_dot'|^2 weighted by 4 pi r^2, with derivatives taken by 4th-order
-    central differences of the exact evaluator.  Cells within 2.5 stencil
-    widths of a kink radius are skipped (the stencil is invalid across them),
-    which perturbs this diagnostic by O(h_fd).
-    """
-    if R <= 0.0 or h_fd <= 0.0:
-        raise ValueError("R and h_fd must be positive")
-    eps = 3.0 * h_fd
-    if R <= eps:
-        raise ValueError("R too small for the stencil width")
-    offsets = h_fd * np.arange(-2.0, 3.0)[:, None]
-
-    def stencil(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        fm2, fm1, f0, fp1, fp2 = f
-        d1 = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h_fd)
-        d2 = (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h_fd**2)
-        return f0, d1, d2
-
-    def integrand(r: np.ndarray) -> np.ndarray:
-        psi_rows, psid_rows = dispersive_eval(state, r + offsets, t)
-        psi, d1, d2 = stencil(psi_rows)
-        psid, dd1, _ = stencil(psid_rows)
-        lap = d2 + 2.0 * d1 / r
-        return FOUR_PI * r * r * (psi**2 + d1**2 + lap**2 + psid**2 + dd1**2)
-
-    pts = split_points(reduction(state).kink_radii(t, eps, R), eps, R)
-    gap = 2.5 * h_fd
-    lo = pts[:-1] + np.where(pts[:-1] > eps, gap, 0.0)
-    hi = pts[1:] - np.where(pts[1:] < R, gap, 0.0)
-    keep = hi > lo
-    if not keep.any():
-        return 0.0
-    # the stencils' round-off, about 1e-15 |psi_f| / h_fd^2 on lap (1e-9 at the
-    # default h_fd), keeps an honest error estimate above 1e-10
-    total = float(integrate_panel(integrand, lo[keep], hi[keep], 1e-8).sum())
-    return math.sqrt(max(total, 0.0))

@@ -14,6 +14,11 @@ gives the data as (r psi0, r pi0), which is finite at r = 0, and nothing is
 ever sampled near the singularity.  stationary_data builds the exact rest
 states q G, and bare_singular_data the point part (zeta0 chi G,
 zeta_dot0 chi G) alone, for free-evolution probes.
+
+Each bump (PolynomialBump, SplineBump, CallableBump) gives its value and
+first two derivatives at a number from one call, jet, for the scalar origin
+trace the ODE reads at every stage, and its value, first derivative and
+int_0^a s p(s) ds on arrays for the field and the audits.
 """
 
 from __future__ import annotations
@@ -47,27 +52,17 @@ class PolynomialBump:
     def kinks(self) -> tuple[float, ...]:
         return (self.support_radius,)
 
-    def value(self, r: float) -> float:
-        if r >= self.support_radius:
-            return 0.0
-        s = (r / self.support_radius) ** 2
-        return self.amplitude * (1.0 - s) ** 3
-
-    def d1(self, r: float) -> float:
+    def jet(self, r: float) -> tuple[float, float, float]:
+        """(p, p', p'') at a number r, 0 from the support on."""
         rho = self.support_radius
         if r >= rho:
-            return 0.0
-        s = (r / rho) ** 2
-        return -6.0 * self.amplitude * r * (1.0 - s) ** 2 / rho**2
-
-    def d2(self, r: float) -> float:
-        rho = self.support_radius
-        if r >= rho:
-            return 0.0
-        s = (r / rho) ** 2
+            return 0.0, 0.0, 0.0
+        u = 1.0 - (r / rho) ** 2
+        a6, u2, rho2 = -6.0 * self.amplitude, u**2, rho**2
         return (
-            -6.0 * self.amplitude * (1.0 - s) ** 2 / rho**2
-            + 24.0 * self.amplitude * r * r * (1.0 - s) / rho**4
+            self.amplitude * u**3,
+            a6 * r * u2 / rho2,
+            a6 * u2 / rho2 + 24.0 * self.amplitude * r * r * u / rho**4,
         )
 
     def value_arr(self, r: np.ndarray) -> np.ndarray:
@@ -151,28 +146,20 @@ class SplineBump:
         """The knots, where the third derivative jumps."""
         return self.knots
 
-    def _at(self, r: float, nu: int) -> float:
-        """nu-th derivative at a number r, 0 from the support on; no numpy call per lookup,
+    def jet(self, r: float) -> tuple[float, float, float]:
+        """(p, p', p'') at a number r, 0 from the support on; no numpy call per lookup,
         because the ODE evaluates the profiles at every stage."""
         if r >= self.support_radius:
-            return 0.0
+            return 0.0, 0.0, 0.0
         i = max(bisect_right(self.knots, r) - 1, 0)
-        return float(_horner(self._c[nu][:, i], r - self.knots[i]))
+        x = r - self.knots[i]
+        return tuple(float(_horner(c[:, i], x)) for c in self._c)
 
     def _eval(self, r: np.ndarray, nu: int) -> np.ndarray:
         """nu-th derivative on an array of radii, 0 from the support on."""
         a = np.minimum(r, self.support_radius)
         i = np.clip(np.searchsorted(self._x, a, side="right") - 1, 0, len(self._x) - 2)
         return np.where(r < self.support_radius, _horner(self._c[nu][:, i], a - self._x[i]), 0.0)
-
-    def value(self, r: float) -> float:
-        return self._at(r, 0)
-
-    def d1(self, r: float) -> float:
-        return self._at(r, 1)
-
-    def d2(self, r: float) -> float:
-        return self._at(r, 2)
 
     def _piece_integral(self, i: np.ndarray, u: np.ndarray) -> np.ndarray:
         # int of s p(s) over [x_i, x_i + u]; s p = (u + x_i) p(u) is quartic in u
@@ -204,38 +191,27 @@ class SplineBump:
 
 @dataclass(frozen=True)
 class CallableBump:
-    """Arbitrary smooth compactly supported profile given by explicit callables."""
+    """Arbitrary smooth compactly supported profile given by one callable jet."""
 
-    value_fn: Callable[[float], float]
-    d1_fn: Callable[[float], float]
-    d2_fn: Callable[[float], float]
+    jet_fn: Callable[[float], tuple[float, float, float]]  # (p, p', p'') inside the support
     support_radius: float
-    integral_fn: Callable[[float], float] | None = None
 
     @property
     def kinks(self) -> tuple[float, ...]:
         return (self.support_radius,)
 
-    def value(self, r: float) -> float:
-        return self.value_fn(r) if r < self.support_radius else 0.0
-
-    def d1(self, r: float) -> float:
-        return self.d1_fn(r) if r < self.support_radius else 0.0
-
-    def d2(self, r: float) -> float:
-        return self.d2_fn(r) if r < self.support_radius else 0.0
+    def jet(self, r: float) -> tuple[float, float, float]:
+        return self.jet_fn(r) if r < self.support_radius else (0.0, 0.0, 0.0)
 
     def value_arr(self, r: np.ndarray) -> np.ndarray:
-        return np.vectorize(self.value, otypes=[float])(r)
+        return np.vectorize(lambda x: self.jet(x)[0], otypes=[float])(r)
 
     def d1_arr(self, r: np.ndarray) -> np.ndarray:
-        return np.vectorize(self.d1, otypes=[float])(r)
+        return np.vectorize(lambda x: self.jet(x)[1], otypes=[float])(r)
 
     def integral_r(self, a: np.ndarray) -> np.ndarray:
-        """int_0^a s * bump(s) ds, by integral_fn or else by one quadrature and prefix sums."""
+        """int_0^a s * bump(s) ds, by one quadrature and prefix sums."""
         hi = np.clip(a, 0.0, self.support_radius)
-        if self.integral_fn is not None:
-            return np.vectorize(self.integral_fn, otypes=[float])(hi)
         edges = split_points([1.0, 2.0, *np.ravel(hi)], 0.0, self.support_radius)
         pieces = integrate_panel(lambda s: s * self.value_arr(s), edges[:-1], edges[1:], 1e-13)
         return np.append(0.0, np.cumsum(pieces))[np.searchsorted(edges, hi)]
@@ -259,7 +235,7 @@ class RadialProfile:
     @property
     def value_at_origin(self) -> float:
         # the tail term vanishes identically near the origin
-        return self.bump.value(0.0)
+        return self.bump.jet(0.0)[0]
 
 
 ZERO_PROFILE = RadialProfile()

@@ -218,18 +218,16 @@ def lambda_bound(nl: Nonlinearity, H0: float) -> float:
 class TruncatedNonlinearity:
     """F continued past +-Lambda by the quadratic splice, hence globally Lipschitz.
 
-    Inside [-Lambda, Lambda] the force and potential are the base ones.  Beyond,
-    U continues as the quadratic matching value and slope at the junction, with
-    curvature at least CURVATURE_FLOOR, so that the reduced dynamics is well
-    posed whatever a trial integrator step does.
+    Inside [-Lambda, Lambda] the force is the base one.  Beyond, F continues as
+    the line matching its value at the junction, with slope at least
+    CURVATURE_FLOOR (U continues as the matching quadratic), so that the
+    reduced dynamics is well posed whatever a trial integrator step does.
     """
 
     base: Nonlinearity
     Lambda: float
     lipschitz_constant: float
     min_slope: float  # min of F~' (see build_truncation)
-    _u_hi: float = field(repr=False, default=0.0)
-    _u_lo: float = field(repr=False, default=0.0)
     _f_hi: float = field(repr=False, default=0.0)
     _f_lo: float = field(repr=False, default=0.0)
     _c_hi: float = field(repr=False, default=0.0)
@@ -242,16 +240,6 @@ class TruncatedNonlinearity:
         if zeta < -lam:
             return self._f_lo + self._c_lo * (zeta + lam)
         return _horner(self.base._f, zeta)
-
-    def U(self, zeta: float) -> float:
-        lam = self.Lambda
-        if zeta > lam:
-            d = zeta - lam
-            return self._u_hi + self._f_hi * d + 0.5 * self._c_hi * d * d
-        if zeta < -lam:
-            d = zeta + lam
-            return self._u_lo + self._f_lo * d + 0.5 * self._c_lo * d * d
-        return _horner(self.base._u, zeta)
 
     def F_prime(self, zeta: float) -> float:
         if zeta > self.Lambda:
@@ -283,14 +271,11 @@ def build_truncation(nl: Nonlinearity, Lambda: float) -> TruncatedNonlinearity:
     """
     if Lambda <= 0.0:
         raise ValueError("Lambda must be positive")
-    u_hi, f_hi = nl.eval(Lambda)
-    u_lo, f_lo = nl.eval(-Lambda)
+    f_hi, f_lo = nl.eval(Lambda)[1], nl.eval(-Lambda)[1]
     c_hi = max(nl.F_prime(Lambda), CURVATURE_FLOOR)
     c_lo = max(nl.F_prime(-Lambda), CURVATURE_FLOOR)
     # F' on the window is extreme at its ends or at the real roots of F'' inside
     inner = [r for r in _real_roots(_derivative(nl._fp)) if -Lambda < r < Lambda]
     slopes = [float(nl.F_prime(z)) for z in (-Lambda, Lambda, *inner)]
     lo, hi = min(slopes), max(slopes)
-    return TruncatedNonlinearity(
-        nl, Lambda, max(hi, -lo, c_hi, c_lo), lo, u_hi, u_lo, f_hi, f_lo, c_hi, c_lo
-    )
+    return TruncatedNonlinearity(nl, Lambda, max(hi, -lo, c_hi, c_lo), lo, f_hi, f_lo, c_hi, c_lo)

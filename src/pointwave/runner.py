@@ -135,7 +135,7 @@ def _write_zeta_csv(path: Path, s: Scenario, state: InitialState, history: ZetaH
     rows = ["t,zeta,zeta_dot,lambda,F,H"]
     ts = np.linspace(0.0, s.t_final, s.csv_rows)
     z, zd = zeta_at(history, ts)
-    lam = np.array([lambda_at(state, t) for t in ts.tolist()])
+    lam = np.array([lambda_at(state, t)[0] for t in ts.tolist()])
     H = energy_ledger(state, history, ts).total
     table = np.column_stack([ts, z, zd, lam, state.nl.F(z), H])
     rows += [",".join(_fmt(v) for v in row) for row in table.tolist()]

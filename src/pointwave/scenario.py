@@ -2,8 +2,9 @@
 
 Grammar: one `KEY = VALUE` per line; blank lines and lines starting with `#`
 are ignored; no inline comments.  Unknown keys are rejected with the line
-number.  Numbers must be finite; lists are comma-separated.  Keys and
-defaults:
+number.  Numbers must be finite.  Radii, steps, tolerances, check bounds,
+ode.t_final and oracle.time must be positive where set.  Lists are
+comma-separated.  Keys and defaults:
 
     name                      scenario label (required)
     nonlinearity.kind         cubic | linear | quintic | poly   [cubic]
@@ -184,6 +185,7 @@ _KEYS = {
     "check.oracle_rel_l2": ("check_oracle_rel_l2", _parse_float),
 }
 
+# checked when set; None is "auto" for quad_radius, snapshot_r_max, oracle_h, oracle_time
 _POSITIVE = (
     "rho",
     "pi_rho",
@@ -192,7 +194,11 @@ _POSITIVE = (
     "abs_tol",
     "max_step",
     "quad_tol",
+    "quad_radius",
+    "snapshot_r_max",
+    "oracle_h",
     "oracle_R",
+    "oracle_time",
     "check_energy_drift",
     "check_huygens_max",
     "check_oracle_rel_l2",
@@ -243,8 +249,9 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> Scenario:
 
 def _validate(s: Scenario, base_dir: str | Path | None) -> None:
     for attr in _POSITIVE:
-        if not getattr(s, attr) > 0.0:
-            raise ConfigError(f"{attr} must be positive, got {getattr(s, attr)!r}")
+        value = getattr(s, attr)
+        if value is not None and not value > 0.0:
+            raise ConfigError(f"{attr} must be positive, got {value!r}")
     if s.csv_rows < 2 or s.snapshot_points < 2:
         raise ConfigError("csv_rows and snapshot_points must be at least 2")
     if s.nonlinearity_kind not in ("cubic", "linear", "quintic", "poly"):

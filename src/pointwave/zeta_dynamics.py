@@ -1,10 +1,11 @@
 """Reduced dynamics of the point amplitude: zeta' = 4 pi (lambda(t) - F(zeta)).
 
-Every node stores zeta, zeta' and the exact zeta'' = 4 pi (lambda'(t) -
-F~'(zeta) zeta'), so the dense output is the quintic Hermite interpolant: C2,
-with local error O(dt^6) (Hairer, Norsett, Wanner, Solving ODEs I, II.6).
-zeta_at is its one evaluator, for one time or for the array of retarded
-times a field evaluation needs.  While the source acts, an adaptive embedded
+The source gives lambda and lambda' from one call.  Every node stores zeta,
+zeta' and the exact zeta'' = 4 pi (lambda'(t) - F~'(zeta) zeta'), so the
+dense output is the quintic Hermite interpolant: C2, with local error
+O(dt^6) (Hairer, Norsett, Wanner, Solving ODEs I, II.6).  zeta_at is its one
+evaluator, for one time or for the array of retarded times a field
+evaluation needs.  While the source acts, an adaptive embedded
 Dormand-Prince 5(4) pair makes the nodes, capped at its real stability
 boundary (see step_cap).  A step is accepted when both DP5's embedded error
 and the defect of the candidate quintic are within tolerance; the defect is
@@ -28,7 +29,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .free_wave import lambda_at, lambda_prime_at, reduction
+from .free_wave import lambda_at, reduction
 from .initial_data import FOUR_PI, InitialState
 from .nonlinearity import Nonlinearity, TruncatedNonlinearity, _derivative, _horner
 from .quadrature import _W8, _X8
@@ -212,17 +213,17 @@ def _time_map(shift: np.ndarray, q: float, nodes: list, dt: float, cfg: ODEConfi
 def integrate_source(
     trunc: TruncatedNonlinearity,
     zeta0: float,
-    source: Callable[[float], float],
+    source: Callable[[float], tuple[float, float]],
     cfg: ODEConfig,
-    source_prime: Callable[[float], float] | None = None,
     source_expiry: float | None = None,
     source_limit: float = 0.0,
 ) -> ZetaHistory:
     """Integrate the reduced equation with an explicit source term lambda(t).
 
-    source_prime is lambda'; None declares a constant source.  A wrong
-    derivative costs steps, not accuracy: the defect estimate sees it, and
-    as it is then O(dt^2) rather than O(dt^6), the steps become very short.
+    source(t) returns (lambda, lambda'); DP5 reads lambda' at a new node from
+    the last stage, which it evaluates there anyway.  A wrong lambda' costs
+    steps, not accuracy: the defect estimate sees it, and as it is then
+    O(dt^2) rather than O(dt^6), the steps become very short.
     source_expiry and source_limit declare that lambda = source_limit from
     source_expiry on; they are stored on the history, and the time map
     makes the nodes from then on where it applies (see the module doc).
@@ -232,12 +233,12 @@ def integrate_source(
     cap = min(cfg.max_step, step_cap(trunc))
     t_end = cfg.t_final
     expiry = math.inf if source_expiry is None else max(source_expiry, 0.0)
-    dsource = source_prime or (lambda t: 0.0)
 
     touched_truncation = abs(zeta0) > lam_bound
     t, y = 0.0, zeta0
-    k1 = FOUR_PI * (source(0.0) - F(y))
-    s0 = FOUR_PI * (dsource(0.0) - F_prime(y) * k1)
+    lam0, dlam0 = source(0.0)
+    k1 = FOUR_PI * (lam0 - F(y))
+    s0 = FOUR_PI * (dlam0 - F_prime(y) * k1)
     nodes = [(t, y, k1, s0)]
     dt = cap / 10.0
     min_step = max(t_end * 1e-15, 1e-300)
@@ -274,24 +275,25 @@ def integrate_source(
         dt = min(dt, cap, stop - t)
         spend(t, dt)
         y2 = y + dt * (a21 * k1)
-        k2 = FOUR_PI * (source(t + c2 * dt) - F(y2))
+        k2 = FOUR_PI * (source(t + c2 * dt)[0] - F(y2))
         y3 = y + dt * (a31 * k1 + a32 * k2)
-        lam3 = source(t + c3 * dt)
+        lam3 = source(t + c3 * dt)[0]
         k3 = FOUR_PI * (lam3 - F(y3))
         y4 = y + dt * (a41 * k1 + a42 * k2 + a43 * k3)
-        k4 = FOUR_PI * (source(t + c4 * dt) - F(y4))
+        k4 = FOUR_PI * (source(t + c4 * dt)[0] - F(y4))
         y5 = y + dt * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
-        lam5 = source(t + c5 * dt)
+        lam5 = source(t + c5 * dt)[0]
         k5 = FOUR_PI * (lam5 - F(y5))
         y6 = y + dt * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)
-        k6 = FOUR_PI * (source(t + dt) - F(y6))
+        k6 = FOUR_PI * (source(t + dt)[0] - F(y6))
         y_new = y + dt * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
-        k7 = FOUR_PI * (source(t + dt) - F(y_new))
+        lam7, dlam7 = source(t + dt)
+        k7 = FOUR_PI * (lam7 - F(y_new))
         if max(abs(y2), abs(y3), abs(y4), abs(y5), abs(y6), abs(y_new)) > lam_bound:
             touched_truncation = True
         err = dt * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
         # defect of the candidate quintic at the stage times 3/10 and 8/9
-        s1 = FOUR_PI * (dsource(t + dt) - F_prime(y_new) * k7)
+        s1 = FOUR_PI * (dlam7 - F_prime(y_new) * k7)
         hd0, hd1, h2s0, h2s1 = dt * k1, dt * k7, dt * dt * s0, dt * dt * s1
         z3 = p0 * y + p1 * y_new + p2 * hd0 + p3 * hd1 + p4 * h2s0 + p5 * h2s1
         z5 = q0 * y + q1 * y_new + q2 * hd0 + q3 * hd1 + q4 * h2s0 + q5 * h2s1
@@ -336,7 +338,6 @@ def integrate(state: InitialState, trunc: TruncatedNonlinearity, cfg: ODEConfig)
         state.zeta0,
         lambda t: lambda_at(state, t),
         cfg,
-        source_prime=lambda t: lambda_prime_at(state, t),
         source_expiry=red.support_time,
         source_limit=red.alpha_pi / FOUR_PI,
     )

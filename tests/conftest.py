@@ -1,6 +1,8 @@
 import pytest
 
 import pointwave as pw
+from pointwave.cutoff import chi_jet
+from pointwave.initial_data import FOUR_PI, CallableBump, RadialProfile
 from pointwave.runner import amplitude_bound
 
 
@@ -15,6 +17,32 @@ def reference_state():
 @pytest.fixture(scope="session")
 def ref_state():
     return reference_state()
+
+
+@pytest.fixture(scope="session")
+def silent_state():
+    """Linear force, trace-free data: bump = z0 chi and pi_c = -z0 chi' (1 + G) with
+    zeta_dot0 = -4 pi z0 cancel the trace identically, so zeta = z0 exp(-4 pi t).
+
+    The jets' higher derivatives are left 0, so lambda' is wrong: the ODE pays
+    for it in steps, not in accuracy."""
+    z0 = 1.0
+
+    def phi(r):
+        c, cp, _ = chi_jet(r)
+        return z0 * c, z0 * cp, 0.0
+
+    def pi(r):
+        value = -z0 * chi_jet(r)[1] * (1.0 + 1.0 / (FOUR_PI * r)) if r > 0.0 else 0.0
+        return value, 0.0, 0.0
+
+    return pw.make_initial_state(
+        RadialProfile(bump=CallableBump(phi, 2.0)),
+        RadialProfile(bump=CallableBump(pi, 2.0)),
+        z0,
+        -FOUR_PI * z0,
+        pw.linear(),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -139,9 +139,12 @@ def test_criterion_03_strong_huygens():
 
 def test_criterion_04_trace_support():
     state = make_reference_state()
-    worst = max(abs(lambda_at(state, float(t))) for t in np.linspace(2.0001, 50.0, 200))
-    ok = worst <= 1e-12
-    _report(4, "trace support expiry", ok, f"max|lambda|={worst:.2e} for t > 2")
+    jets = [lambda_at(state, float(t)) for t in np.linspace(2.0001, 50.0, 200)]
+    worst = max(abs(lam) for lam, _ in jets)
+    worst_prime = max(abs(dlam) for _, dlam in jets)
+    ok = worst <= 1e-12 and worst_prime == 0.0
+    detail = f"max|lambda|={worst:.2e} max|lambda'|={worst_prime:.2e} for t > 2"
+    _report(4, "trace support expiry", ok, detail)
 
 
 def test_criterion_05_global_attraction(reference50):
@@ -197,7 +200,7 @@ def test_criterion_07_boundary_identity(reference50):
         z, zd = zeta_at(history, t)
         tr = regular_trace(state, history, t)
         worst_f = max(worst_f, abs(tr - state.nl.F(z)))
-        worst_lam = max(worst_lam, abs(tr - (lambda_at(state, t) - zd / FOUR_PI)))
+        worst_lam = max(worst_lam, abs(tr - (lambda_at(state, t)[0] - zd / FOUR_PI)))
     ok = worst_f <= 1e-6 and worst_lam <= 1e-6
     _report(
         7,
@@ -207,33 +210,9 @@ def test_criterion_07_boundary_identity(reference50):
     )
 
 
-def test_criterion_08_reduced_equation_closed_form():
-    from pointwave.cutoff import chi, chi_prime
-    from pointwave.initial_data import CallableBump, RadialProfile
-
-    z0 = 1.0
-    phi = RadialProfile(
-        bump=CallableBump(
-            value_fn=lambda r: z0 * chi(r),
-            d1_fn=lambda r: z0 * chi_prime(r),
-            d2_fn=lambda r: 0.0,
-            support_radius=2.0,
-        )
-    )
-    pi = RadialProfile(
-        bump=CallableBump(
-            value_fn=lambda r: -z0 * chi_prime(r) * (1.0 + 1.0 / (FOUR_PI * r))
-            if r > 0.0
-            else 0.0,
-            d1_fn=lambda r: 0.0,
-            d2_fn=lambda r: 0.0,
-            support_radius=2.0,
-        )
-    )
-    nl = pw.linear()
-    state = pw.make_initial_state(phi, pi, z0, -FOUR_PI * z0, nl)
-    trunc = pw.build_truncation(nl, 2.0)
-    history = pw.integrate(state, trunc, pw.ODEConfig(t_final=1.0))
+def test_criterion_08_reduced_equation_closed_form(silent_state):
+    trunc = pw.build_truncation(silent_state.nl, 2.0)
+    history = pw.integrate(silent_state, trunc, pw.ODEConfig(t_final=1.0))
     worst = 0.0
     for s in np.linspace(0.0, 1.0, 401):
         z, _ = zeta_at(history, float(s))

@@ -3,25 +3,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from pointwave.cutoff import (
-    CHI_INTEGRAL_FULL,
-    chi,
-    chi_arr,
-    chi_integral,
-    chi_prime,
-    chi_prime_arr,
-    chi_second,
-)
+from pointwave.cutoff import CHI_INTEGRAL_FULL, chi_arr, chi_integral, chi_jet, chi_prime_arr
+
+
+def chi(r):
+    return chi_jet(r)[0]
 
 
 def test_plateaus_exact():
-    assert chi(0.0) == 1.0
-    assert chi(0.5) == 1.0
-    assert chi(1.0) == 1.0
-    assert chi(2.0) == 0.0
-    assert chi(2.5) == 0.0
-    assert chi_prime(0.5) == 0.0
-    assert chi_prime(3.0) == 0.0
+    for r in (0.0, 0.5, 1.0):
+        assert chi_jet(r) == (1.0, 0.0, 0.0)
+    for r in (2.0, 2.5, 3.0):
+        assert chi_jet(r) == (0.0, 0.0, 0.0)
 
 
 def test_midpoint():
@@ -43,10 +36,9 @@ def test_monotone_nonincreasing():
 @pytest.mark.parametrize("r", [1.1, 1.3, 1.5, 1.7, 1.9])
 def test_derivatives_match_finite_differences(r):
     h = 1e-6
-    fd1 = (chi(r + h) - chi(r - h)) / (2 * h)
-    assert chi_prime(r) == pytest.approx(fd1, rel=1e-7, abs=1e-9)
-    fd2 = (chi_prime(r + h) - chi_prime(r - h)) / (2 * h)
-    assert chi_second(r) == pytest.approx(fd2, rel=1e-6, abs=1e-7)
+    (_, d1, d2), lo, hi = chi_jet(r), chi_jet(r - h), chi_jet(r + h)
+    assert d1 == pytest.approx((hi[0] - lo[0]) / (2 * h), rel=1e-7, abs=1e-9)
+    assert d2 == pytest.approx((hi[1] - lo[1]) / (2 * h), rel=1e-6, abs=1e-7)
 
 
 def test_integral_plateau_values():
@@ -80,5 +72,6 @@ def test_integral_continuous_at_band_ends():
 
 def test_vectorized_paths_agree():
     r = np.linspace(0.0, 2.6, 373)
-    assert np.allclose(chi_arr(r), [chi(x) for x in r], rtol=0, atol=1e-15)
-    assert np.allclose(chi_prime_arr(r), [chi_prime(x) for x in r], rtol=0, atol=1e-15)
+    value, d1, _ = np.array([chi_jet(x) for x in r.tolist()]).T
+    assert np.allclose(chi_arr(r), value, rtol=0, atol=1e-15)
+    assert np.allclose(chi_prime_arr(r), d1, rtol=0, atol=1e-15)

@@ -8,41 +8,16 @@ import pytest
 
 import pointwave as pw
 from pointwave import fd_oracle
-from pointwave.cutoff import chi, chi_prime
+from pointwave.cutoff import chi_jet
 from pointwave.fd_oracle import OracleError, interior_energy
 from pointwave.free_wave import lambda_at
 from pointwave.initial_data import (
     FOUR_PI,
-    CallableBump,
     InitialState,
-    RadialProfile,
     ZERO_PROFILE,
     bare_singular_data,
 )
 from pointwave.zeta_dynamics import zeta_at
-
-
-def silent_linear_state(z0=1.0):
-    """Linear force, trace-free data: the amplitude decays as exp(-4 pi t)."""
-    phi = RadialProfile(
-        bump=CallableBump(
-            value_fn=lambda r: z0 * chi(r),
-            d1_fn=lambda r: z0 * chi_prime(r),
-            d2_fn=lambda r: 0.0,
-            support_radius=2.0,
-        )
-    )
-    pi = RadialProfile(
-        bump=CallableBump(
-            value_fn=lambda r: -z0 * chi_prime(r) * (1.0 + 1.0 / (FOUR_PI * r))
-            if r > 0.0
-            else 0.0,
-            d1_fn=lambda r: 0.0,
-            d2_fn=lambda r: 0.0,
-            support_radius=2.0,
-        )
-    )
-    return pw.make_initial_state(phi, pi, z0, -FOUR_PI * z0, pw.linear())
 
 
 class TestInit:
@@ -67,7 +42,7 @@ class TestInit:
         for j in (1, 57, 313):
             r = float(grid.r[j])
             # r psi0 = zeta0 chi / 4pi + r phi_c
-            want = ref_state.zeta0 * chi(r) / FOUR_PI + r * ref_state.phi_c.bump.value(r)
+            want = ref_state.zeta0 * chi_jet(r)[0] / FOUR_PI + r * ref_state.phi_c.bump.jet(r)[0]
             assert u0[j] == pytest.approx(want, rel=1e-14)
 
     def test_grid_too_small(self, ref_state):
@@ -175,14 +150,13 @@ def test_march_is_independent_of_the_semi_analytic_solver():
         assert not used, f"{name} refers to {sorted(used)}"
 
 
-def test_linear_force_trace_convergence():
-    state = silent_linear_state()
+def test_linear_force_trace_convergence(silent_state):
     trunc = pw.build_truncation(pw.linear(), 2.0)
     T = 1.0
     errs = []
     first_step_errs = []
     for h in (1.0 / 256, 1.0 / 512, 1.0 / 1024):
-        run = fd_oracle.run(state, trunc, T=T, h=h, R=4.0)
+        run = fd_oracle.run(silent_state, trunc, T=T, h=h, R=4.0)
         exact = np.exp(-FOUR_PI * run.times)
         err = math.sqrt(
             np.trapezoid((run.trace - exact) ** 2, run.times)
@@ -218,7 +192,7 @@ def test_discrete_trace_satisfies_reduced_equation(ref_state):
         worst = 0.0
         for n in range(len(ts) // 3, 2 * len(ts) // 3):
             dz = (tr[n + 1] - tr[n - 1]) / (2.0 * h)
-            res = dz / FOUR_PI + ref_state.nl.F(tr[n]) - lambda_at(ref_state, ts[n])
+            res = dz / FOUR_PI + ref_state.nl.F(tr[n]) - lambda_at(ref_state, ts[n])[0]
             worst = max(worst, abs(res))
         residuals.append(worst)
     assert residuals[1] / residuals[0] < 0.7  # order >= 1

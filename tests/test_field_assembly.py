@@ -142,7 +142,7 @@ class TestRegularTrace:
             z, zd = zeta_at(hist, t)
             tr = regular_trace(state, hist, t)
             assert abs(tr - state.nl.F(z)) < 1e-6
-            assert abs(tr - (lambda_at(state, t) - zd / FOUR_PI)) < 1e-12
+            assert abs(tr - (lambda_at(state, t)[0] - zd / FOUR_PI)) < 1e-12
 
 
 class TestEnergy:

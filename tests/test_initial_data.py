@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import pointwave as pw
-from pointwave.cutoff import chi, chi_prime, chi_second
+from pointwave.cutoff import chi_jet
 from pointwave.initial_data import (
     FOUR_PI,
     CallableBump,
@@ -25,29 +25,28 @@ class TestPolynomialBump:
     bump = PolynomialBump(amplitude=-0.375, support_radius=1.0)
 
     def test_support(self):
-        assert self.bump.value(0.0) == -0.375
-        assert self.bump.value(1.0) == 0.0
-        assert self.bump.value(2.3) == 0.0
-        assert self.bump.d1(0.0) == 0.0
+        assert self.bump.jet(0.0)[:2] == (-0.375, 0.0)
+        assert self.bump.jet(1.0) == (0.0, 0.0, 0.0)
+        assert self.bump.jet(2.3) == (0.0, 0.0, 0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(min_value=0.01, max_value=0.95))
     def test_derivatives(self, r):
         h = 1e-6
-        fd1 = (self.bump.value(r + h) - self.bump.value(r - h)) / (2 * h)
-        assert self.bump.d1(r) == pytest.approx(fd1, rel=1e-6, abs=1e-9)
-        fd2 = (self.bump.d1(r + h) - self.bump.d1(r - h)) / (2 * h)
-        assert self.bump.d2(r) == pytest.approx(fd2, rel=1e-6, abs=1e-8)
+        (_, d1, d2), lo, hi = self.bump.jet(r), self.bump.jet(r - h), self.bump.jet(r + h)
+        assert d1 == pytest.approx((hi[0] - lo[0]) / (2 * h), rel=1e-6, abs=1e-9)
+        assert d2 == pytest.approx((hi[1] - lo[1]) / (2 * h), rel=1e-6, abs=1e-8)
 
     @pytest.mark.parametrize("a", [0.3, 0.8, 1.0, 2.0])
     def test_integral(self, a):
-        ref, _ = quad(lambda s: s * self.bump.value(s), 0.0, min(a, 1.0), epsabs=1e-14)
+        ref, _ = quad(lambda s: s * self.bump.jet(s)[0], 0.0, min(a, 1.0), epsabs=1e-14)
         assert self.bump.integral_r(a) == pytest.approx(ref, abs=1e-13)
 
     def test_vector_paths(self):
         r = np.linspace(0.0, 1.5, 97)
-        assert np.allclose(self.bump.value_arr(r), [self.bump.value(x) for x in r], atol=1e-16)
-        assert np.allclose(self.bump.d1_arr(r), [self.bump.d1(x) for x in r], atol=1e-16)
+        value, d1, _ = np.array([self.bump.jet(x) for x in r.tolist()]).T
+        assert np.allclose(self.bump.value_arr(r), value, atol=1e-16)
+        assert np.allclose(self.bump.d1_arr(r), d1, atol=1e-16)
 
 
 class TestSplineBump:
@@ -64,8 +63,8 @@ class TestSplineBump:
         path = tmp_path / "profile.txt"
         np.savetxt(path, np.column_stack([r, v]))
         bump = SplineBump.from_file(path)
-        assert bump.value(0.0) == pytest.approx(0.5, abs=1e-12)
-        assert bump.value(1.2) == 0.0
+        assert bump.jet(0.0)[0] == pytest.approx(0.5, abs=1e-12)
+        assert bump.jet(1.2) == (0.0, 0.0, 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -76,7 +75,7 @@ class TestSplineBump:
             SplineBump.from_points([0.0, 0.5, 0.8, 1.0], [1, 1, 1, 0.3])  # nonzero edge
 
     def test_flat_at_origin(self):
-        assert self.make().d1(0.0) == pytest.approx(0.0, abs=1e-13)
+        assert self.make().jet(0.0)[1] == pytest.approx(0.0, abs=1e-13)
 
     @pytest.mark.parametrize("knots", ["uniform", "random"])
     def test_matches_scipy_clamped_spline(self, knots):
@@ -91,7 +90,8 @@ class TestSplineBump:
         bump = SplineBump.from_points(r, v)
         ref = CubicSpline(r, v, bc_type=((1, 0.0), (1, 0.0)))
         x = np.linspace(0.0, r[-1], 1001)[:-1]
-        for got, nu in ((bump.value_arr(x), 0), (bump.d1_arr(x), 1), ([bump.d2(s) for s in x], 2)):
+        jets = np.array([bump.jet(s) for s in x.tolist()]).T
+        for got, nu in ((bump.value_arr(x), 0), (bump.d1_arr(x), 1), *zip(jets, range(3))):
             want = ref(x, nu)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -100,7 +100,7 @@ class TestSplineBump:
         bump = self.make()
         a = np.array([0.0, 0.03, 0.5, 0.77, 1.0, 1.4])
         ref = [
-            quad(lambda s: s * bump.value(s), 0.0, min(x, 1.0), epsabs=1e-13, limit=200)[0]
+            quad(lambda s: s * bump.jet(s)[0], 0.0, min(x, 1.0), epsabs=1e-13, limit=200)[0]
             for x in a
         ]
         assert bump.integral_r(a) == pytest.approx(ref, abs=1e-10)
@@ -108,13 +108,8 @@ class TestSplineBump:
 
 
 def test_callable_bump_numeric_integral():
-    bump = CallableBump(
-        value_fn=lambda r: chi(r),
-        d1_fn=lambda r: chi_prime(r),
-        d2_fn=lambda r: chi_second(r),
-        support_radius=2.0,
-    )
-    ref, _ = quad(lambda s: s * chi(s), 0.0, 1.7, epsabs=1e-13, limit=200)
+    bump = CallableBump(jet_fn=chi_jet, support_radius=2.0)
+    ref, _ = quad(lambda s: s * chi_jet(s)[0], 0.0, 1.7, epsabs=1e-13, limit=200)
     assert bump.integral_r(1.7) == pytest.approx(ref, abs=1e-11)
 
 
@@ -165,7 +160,7 @@ def test_total_data_assembly(nl):
         RadialProfile(bump=bump), RadialProfile(bump=PolynomialBump(0.2, 0.7)), 0.3, 0.1, nl
     )
     for r in (0.2, 0.9, 1.4, 1.9):
-        expected = 0.3 * chi(r) / (FOUR_PI * r) + bump.value(r)
+        expected = 0.3 * chi_jet(r)[0] / (FOUR_PI * r) + bump.jet(r)[0]
         assert state.reduced_data(r)[0] / r == pytest.approx(expected, rel=1e-15)
     # compact support: everything dies past max(2, rho)
     u0, v0 = state.reduced_data(np.array([2.05, 3.0, 8.0]))

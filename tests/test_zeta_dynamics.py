@@ -35,17 +35,16 @@ def linear_trunc():
 def test_rhs_examples(cubic_trunc, linear_trunc):
     # the node derivative is the right-hand side 4 pi (lambda - F~(zeta))
     cfg = ODEConfig(t_final=0.1)
-    assert integrate_source(cubic_trunc, 0.5, lambda t: 0.0, cfg).derivs[0] == pytest.approx(
-        FOUR_PI * 0.375, rel=1e-15
-    )
-    assert np.all(integrate_source(cubic_trunc, 1.0, lambda t: 0.0, cfg).derivs == 0.0)
-    assert integrate_source(linear_trunc, 0.0, lambda t: 0.25, cfg).derivs[0] == pytest.approx(
-        math.pi, rel=1e-15
-    )
+    def first_slope(trunc, zeta0, lam):
+        return integrate_source(trunc, zeta0, lambda t: (lam, 0.0), cfg).derivs[0]
+
+    assert first_slope(cubic_trunc, 0.5, 0.0) == pytest.approx(FOUR_PI * 0.375, rel=1e-15)
+    assert np.all(integrate_source(cubic_trunc, 1.0, lambda t: (0.0, 0.0), cfg).derivs == 0.0)
+    assert first_slope(linear_trunc, 0.0, 0.25) == pytest.approx(math.pi, rel=1e-15)
 
 
 def test_linear_decay_closed_form(linear_trunc):
-    hist = integrate_source(linear_trunc, 1.0, lambda t: 0.0, ODEConfig(t_final=1.0))
+    hist = integrate_source(linear_trunc, 1.0, lambda t: (0.0, 0.0), ODEConfig(t_final=1.0))
     z_01, _ = zeta_at(hist, 0.1)
     assert z_01 == pytest.approx(math.exp(-FOUR_PI * 0.1), abs=1e-8)
     assert abs(z_01 - 0.28460954) < 5e-8
@@ -59,7 +58,7 @@ def test_embedded_pair_order(linear_trunc):
     errs = []
     for h in (2e-3, 1e-3):
         cfg = ODEConfig(rel_tol=1.0, abs_tol=1.0, max_step=h, t_final=0.5)
-        hist = integrate_source(linear_trunc, 1.0, lambda t: 0.0, cfg)
+        hist = integrate_source(linear_trunc, 1.0, lambda t: (0.0, 0.0), cfg)
         z, _ = zeta_at(hist, 0.5)
         errs.append(abs(z - math.exp(-FOUR_PI * 0.5)))
     assert errs[1] / errs[0] < 0.1
@@ -82,7 +81,7 @@ def test_reference_attraction_with_brute_force_oracle(ref_state, cubic_trunc):
     from pointwave.free_wave import lambda_at
 
     def f(t, y):
-        return FOUR_PI * (lambda_at(ref_state, t) - ref_state.nl.F(y))
+        return FOUR_PI * (lambda_at(ref_state, t)[0] - ref_state.nl.F(y))
 
     dt = 2e-4
     n = int(round(6.0 / dt))
@@ -160,13 +159,13 @@ def test_history_is_c2_at_nodes(ref_run):
 
 def test_node_second_derivative_is_the_equation(ref_run, ref_state):
     # zeta'' = 4 pi (lambda' - F'(zeta) zeta') at every node, lambda' included
-    from pointwave.free_wave import lambda_prime_at
+    from pointwave.free_wave import lambda_at
 
     hist = ref_run["history"]
     nl = ref_state.nl
     for i in range(0, len(hist.times), 37):
         t, z, zd = hist.times[i], hist.values[i], hist.derivs[i]
-        expected = FOUR_PI * (lambda_prime_at(ref_state, t) - nl.F_prime(z) * zd)
+        expected = FOUR_PI * (lambda_at(ref_state, t)[1] - nl.F_prime(z) * zd)
         assert hist.second[i] == pytest.approx(expected, rel=1e-14, abs=1e-14)
 
 
@@ -208,8 +207,8 @@ def test_defect_estimate_guards_a_wrong_derivative(linear_trunc):
     cfg = ODEConfig(rel_tol=1e-6, abs_tol=1e-8, t_final=2.0)
     s = np.linspace(0.0, 2.0, 20001)
     steps = {}
-    for name, prime in (("true", lambda t: w * math.cos(w * t)), ("constant", None)):
-        hist = integrate_source(linear_trunc, 1.0, lambda t: math.sin(w * t), cfg, prime)
+    for name, prime in (("true", lambda t: w * math.cos(w * t)), ("constant", lambda t: 0.0)):
+        hist = integrate_source(linear_trunc, 1.0, lambda t: (math.sin(w * t), prime(t)), cfg)
         assert np.max(np.abs(zeta_at(hist, s)[0] - exact(s))) <= 1e-6
         steps[name] = len(hist.times) - 1
     assert steps["constant"] > 10 * steps["true"]
@@ -226,7 +225,7 @@ def test_attraction_to_round_off_over_scalings():
 def test_monotone_trapping_between_roots(cubic_trunc):
     # with no source, a trajectory started strictly between adjacent roots
     # can never cross either of them
-    hist = integrate_source(cubic_trunc, 0.5, lambda t: 0.0, ODEConfig(t_final=5.0))
+    hist = integrate_source(cubic_trunc, 0.5, lambda t: (0.0, 0.0), ODEConfig(t_final=5.0))
     assert np.all(hist.values >= 0.5 - 1e-12)
     assert np.all(hist.values <= 1.0 + 1e-12)
     assert np.all(np.diff(hist.values) >= -1e-14)
@@ -234,7 +233,7 @@ def test_monotone_trapping_between_roots(cubic_trunc):
 
 def test_source_free_potential_descent(cubic_trunc):
     U = pw.cubic().U
-    hist = integrate_source(cubic_trunc, 0.5, lambda t: 0.0, ODEConfig(t_final=5.0))
+    hist = integrate_source(cubic_trunc, 0.5, lambda t: (0.0, 0.0), ODEConfig(t_final=5.0))
     u_vals = [U(z) for z in hist.values]
     assert all(b <= a + 1e-12 for a, b in zip(u_vals, u_vals[1:]))
 
@@ -280,7 +279,7 @@ def test_time_map_closed_form(kind, zeta_s, exact):
     # the source is 0 from t = 0 on, so the time map makes every node; DP5
     # gives 2.3e-12 on the cubic cases
     trunc = pw.build_truncation(pw.make_nonlinearity(kind), 2.0)
-    hist = integrate_source(trunc, zeta_s, lambda t: 0.0, ODEConfig(), source_expiry=0.0)
+    hist = integrate_source(trunc, zeta_s, lambda t: (0.0, 0.0), ODEConfig(), source_expiry=0.0)
     s = np.linspace(0.0, 50.0, 50001)
     assert np.max(np.abs(zeta_at(hist, s)[0] - exact(s))) <= 5e-12
     assert hist.times[-1] == 50.0
@@ -289,7 +288,7 @@ def test_time_map_closed_form(kind, zeta_s, exact):
 def test_max_step_bounds_the_time_map(cubic_trunc):
     def steps(max_step):
         cfg = ODEConfig(max_step=max_step, t_final=5.0)
-        hist = integrate_source(cubic_trunc, 0.5, lambda t: 0.0, cfg, source_expiry=0.0)
+        hist = integrate_source(cubic_trunc, 0.5, lambda t: (0.0, 0.0), cfg, source_expiry=0.0)
         assert hist.times[-1] == 5.0
         return np.diff(hist.times)
 
@@ -304,10 +303,10 @@ def test_no_certified_rest_point_falls_back_to_dp5(linear_trunc, cubic_trunc):
     cfg = ODEConfig(t_final=5.0)
     with pytest.raises(TruncationEnteredError):
         integrate_source(
-            linear_trunc, 0.0, lambda t: 3.0, cfg, source_expiry=0.0, source_limit=3.0
+            linear_trunc, 0.0, lambda t: (3.0, 0.0), cfg, source_expiry=0.0, source_limit=3.0
         )
     with pytest.raises(TruncationEnteredError):
-        integrate_source(cubic_trunc, 1.5, lambda t: 0.0, cfg, source_expiry=0.0)
+        integrate_source(cubic_trunc, 1.5, lambda t: (0.0, 0.0), cfg, source_expiry=0.0)
 
 
 def test_step_cap_boundary_is_the_tableau_root():
@@ -338,7 +337,7 @@ def test_detect_limit_stationary(stationary_run):
 def test_detect_limit_linear_decay(linear_trunc):
     # the source is identically zero, so it has expired from t = 0 on
     hist = replace(
-        integrate_source(linear_trunc, 1.0, lambda t: 0.0, ODEConfig(t_final=3.0)),
+        integrate_source(linear_trunc, 1.0, lambda t: (0.0, 0.0), ODEConfig(t_final=3.0)),
         source_expiry=0.0,
     )
     res = detect_limit(hist, pw.linear())
@@ -370,7 +369,7 @@ def test_detect_limit_certifies_after_source_expiry():
 def test_detect_limit_uses_expired_source_value(cubic_trunc):
     # a constant source c = 0.1 moves the rest point to the zero of c - F
     hist = replace(
-        integrate_source(cubic_trunc, 0.5, lambda t: 0.1, ODEConfig(t_final=5.0)),
+        integrate_source(cubic_trunc, 0.5, lambda t: (0.1, 0.0), ODEConfig(t_final=5.0)),
         source_expiry=0.0,
         source_limit=0.1,
     )
@@ -386,7 +385,7 @@ def test_detect_limit_finds_a_tangent_rest_point():
     # change; a doubling search from zeta(T) stepped over it to q = 0
     nl = pw.make_nonlinearity("poly", [0.0, 1.0, -2.0, 1.0])
     hist = integrate_source(
-        pw.build_truncation(nl, 3.0), 2.0, lambda t: 0.0, ODEConfig(t_final=20.0),
+        pw.build_truncation(nl, 3.0), 2.0, lambda t: (0.0, 0.0), ODEConfig(t_final=20.0),
         source_expiry=0.0,
     )
     assert 1.0 < hist.values[-1] < 1.01
@@ -402,7 +401,7 @@ def test_attempt_ceiling_stops_a_crawling_run(linear_trunc):
     # horizon is within one cap) and says where
     cfg = ODEConfig(t_final=0.25)
     with pytest.raises(IntegrationError, match=r"10000 attempted steps reached at t = .*, dt = "):
-        integrate_source(linear_trunc, 1.0, lambda t: math.sin(3.0 * t), cfg)
+        integrate_source(linear_trunc, 1.0, lambda t: (math.sin(3.0 * t), 0.0), cfg)
 
 
 def test_detect_limit_flags_oscillation():
