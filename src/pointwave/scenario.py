@@ -185,23 +185,11 @@ _KEYS = {
     "check.oracle_rel_l2": ("check_oracle_rel_l2", _parse_float),
 }
 
-# checked when set; None is "auto" for quad_radius, snapshot_r_max, oracle_h, oracle_time
+# checked when set; None is "auto" for quad.radius, snapshot.r_max, oracle.h, oracle.time
 _POSITIVE = (
-    "rho",
-    "pi_rho",
-    "t_final",
-    "rel_tol",
-    "abs_tol",
-    "max_step",
-    "quad_tol",
-    "quad_radius",
-    "snapshot_r_max",
-    "oracle_h",
-    "oracle_R",
-    "oracle_time",
-    "check_energy_drift",
-    "check_huygens_max",
-    "check_oracle_rel_l2",
+    "data.rho", "data.pi_rho", "ode.t_final", "ode.rel_tol", "ode.abs_tol", "ode.max_step",
+    "quad.tol", "quad.radius", "snapshot.r_max", "oracle.h", "oracle.R", "oracle.time",
+    "check.energy_drift", "check.huygens_max", "check.oracle_rel_l2",
 )
 
 
@@ -248,12 +236,14 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> Scenario:
 
 
 def _validate(s: Scenario, base_dir: str | Path | None) -> None:
-    for attr in _POSITIVE:
-        value = getattr(s, attr)
+    for key in _POSITIVE:
+        value = getattr(s, _KEYS[key][0])
         if value is not None and not value > 0.0:
-            raise ConfigError(f"{attr} must be positive, got {value!r}")
-    if s.csv_rows < 2 or s.snapshot_points < 2:
-        raise ConfigError("csv_rows and snapshot_points must be at least 2")
+            raise ConfigError(f"{key}: must be positive, got {value!r}")
+    for key in ("report.csv_rows", "snapshot.points"):
+        value = getattr(s, _KEYS[key][0])
+        if value < 2:
+            raise ConfigError(f"{key}: must be at least 2, got {value!r}")
     if s.nonlinearity_kind not in ("cubic", "linear", "quintic", "poly"):
         raise ConfigError(f"unknown nonlinearity kind {s.nonlinearity_kind!r}")
     if s.nonlinearity_kind == "poly" and not s.coefficients:

@@ -13,7 +13,9 @@ from pointwave.fd_oracle import OracleError, interior_energy
 from pointwave.free_wave import lambda_at
 from pointwave.initial_data import (
     FOUR_PI,
+    CallableBump,
     InitialState,
+    RadialProfile,
     ZERO_PROFILE,
     bare_singular_data,
 )
@@ -69,6 +71,73 @@ def _leapfrog(state, trunc, T, h, R):
         up, uc = uc, un
         levels.append(uc)
     return np.array(levels)
+
+
+def _march_to_the_end(state, trunc, T, h, R):
+    """Reference: run's recurrence and snapshot at T with no fixed-point exit,
+    one boundary solve per step."""
+    grid, u0, u1 = fd_oracle.init_grid(state, trunc, h, R)
+    N, m = grid.N, int(round(T / h))
+    p = np.zeros(N + m + 2)
+    p[1 : N + 1] = u1[1:] - u0[:-1]
+    b = np.zeros(m + 1)
+    b[:2] = u0[0], u1[0]
+    u_1 = u1.item(1)
+    for n in range(1, m):
+        u_1, u_2 = b.item(n) + p.item(n + 1), u_1 + p.item(n + 2)
+        b[n + 1] = fd_oracle._robin_solve(trunc, u_1, u_2, h, b.item(n))
+    S = np.zeros(len(p) + 2)
+    S[2::2], S[3::2] = np.cumsum(p[0::2]), np.cumsum(p[1::2])
+    j = np.arange(N + 1)
+    snapshot = np.concatenate((b[m::-1], u0[1:]))[: N + 1] + (S[j + m + 1] - S[np.abs(j - m) + 1])
+    return FOUR_PI * b, snapshot
+
+
+def _shell_state():
+    """Cubic data at rest at the origin, zeta0 = zeta_dot0 = 0, with phi on
+    [3, 4]: the trace is exactly 0 until the shell reaches r = 0 at t = 3."""
+
+    def phi(r):
+        if not 3.0 < r < 4.0:
+            return 0.0, 0.0, 0.0
+        x = 2.0 * r - 7.0
+        return (1.0 - x * x) ** 3, -12.0 * x * (1.0 - x * x) ** 2, 0.0
+
+    return pw.make_initial_state(
+        RadialProfile(bump=CallableBump(phi, 4.0)), RadialProfile(), 0.0, 0.0, pw.cubic()
+    )
+
+
+@pytest.mark.parametrize("case", ["reference", "linear", "shell", "quintic/224", "quintic/256"])
+def test_fixed_point_exit_is_bit_exact(ref_state, silent_state, monkeypatch, case):
+    # the march may stop only where marching on would return the same float
+    # at every later step; linear data never settles, so it solves every step.
+    # On the coarse quintic grids the settling trace has b_{n+1} = u_2 != u_1
+    # (h = 8/224) or b_{n+1} = u_1 != u_2 (h = 8/256) at some step: the exit
+    # needs both equalities, and the shell needs the p^0 check
+    quintic = pw.make_initial_state(
+        pw.RadialProfile(bump=pw.PolynomialBump(pw.quintic().F(0.5), 1.0)),
+        pw.RadialProfile(), 0.5, 0.3, pw.quintic(),
+    )
+    state, trunc, T, h, R = {
+        "reference": (ref_state, pw.build_truncation(pw.cubic(), 1.6), 10.0, 8.0 / 4096, 8.0),
+        "linear": (silent_state, pw.build_truncation(pw.linear(), 2.0), 10.0, 8.0 / 4096, 8.0),
+        "shell": (_shell_state(), pw.build_truncation(pw.cubic(), 3.0), 8.0, 1.0 / 64, 6.0),
+        "quintic/224": (quintic, pw.build_truncation(pw.quintic(), 1.6), 10.0, 8.0 / 224, 8.0),
+        "quintic/256": (quintic, pw.build_truncation(pw.quintic(), 1.6), 10.0, 8.0 / 256, 8.0),
+    }[case]
+    trace, snapshot = _march_to_the_end(state, trunc, T, h, R)
+    solves = []
+    solve = fd_oracle._robin_solve
+    monkeypatch.setattr(fd_oracle, "_robin_solve", lambda *a: solves.append(a) or solve(*a))
+    run = fd_oracle.run(state, trunc, T=T, h=h, R=R, snapshot_times=(T,))
+    assert np.array_equal(run.trace, trace)
+    assert np.array_equal(run.snapshots[T], snapshot)
+    steps = len(run.times) - 1  # the start step's solve is one of them
+    assert len(solves) == steps if case == "linear" else len(solves) < steps
+    if case == "shell":
+        assert not np.any(trace[:191]) and np.all(trace[191:200] != 0.0)
+        assert 2.4 < float(np.max(np.abs(trace))) < 2.5
 
 
 @pytest.mark.parametrize("case", ["interacting", "free"])

@@ -5,6 +5,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -164,6 +165,23 @@ class TestRunScenario:
         assert rep.energy_drift_rel <= 1e-10
         assert rep.lambda_margin > 0.0
         assert rep.huygens_max_abs == 0.0
+
+    @pytest.mark.parametrize(
+        "kind, zeta0",
+        [(k, z) for k in ("cubic", "linear") for z in (0.5, -0.5, 2.0, -2.0, 5.0, -5.0, 10.0, -10.0)]
+        + [("quintic", z) for z in (0.5, -0.5, 2.0, -2.0)],
+    )
+    def test_large_finite_energy_data_passes(self, kind, zeta0):
+        # the theorem covers every finite-energy solution: large bump data at
+        # the default quad.tol must PASS, not end as an ERROR row or stall
+        s = parse_config(
+            f"name = sweep\nnonlinearity.kind = {kind}\ndata.zeta0 = {zeta0}\n"
+            "data.zeta_dot0 = 0.3\node.t_final = 4.0\n"
+        )
+        t0 = time.perf_counter()
+        result = run_scenario(s, None)
+        assert result.ok, result.failures
+        assert time.perf_counter() - t0 < 30.0
 
     def test_artifacts_written(self, tmp_path):
         s = parse_config(LINEAR_SHORT)
@@ -350,13 +368,22 @@ class TestCli:
         ],
     )
     def test_run_non_positive_auto_key_exit_two(self, tmp_path, line, attr):
-        # "auto" leaves these unset; a value that is set must be positive
+        # "auto" leaves these unset; a value that is set must be positive.  The
+        # error names the key as written, not the Scenario attribute
+        key, value = line.split(" = ")
         cfg = tmp_path / "nonpositive.cfg"
         cfg.write_text(with_line(LINEAR_SHORT, line))
         proc = run_cli("run", str(cfg), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2, proc.stderr + proc.stdout
         assert "Traceback" not in proc.stderr
-        assert f"config error: {attr} must be positive, got {float(line.split(' = ')[1])!r}" in proc.stderr
+        assert f"config error: {key}: must be positive, got {float(value)!r}" in proc.stderr
+        assert attr not in proc.stderr
+
+    @pytest.mark.parametrize("line", ["report.csv_rows = 1", "snapshot.points = 0"])
+    def test_too_few_rows_names_the_key(self, line):
+        key, value = line.split(" = ")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: must be at least 2, got {value}$"):
+            parse_config(with_line(LINEAR_SHORT, line))
 
     @pytest.mark.parametrize("flag", [("--T", "inf"), ("--T", "nan"), ("--tol", "nan")])
     def test_run_non_finite_override_exit_two(self, tmp_path, flag):
