@@ -155,10 +155,10 @@ def run(
     """March to time T, recording the amplitude trace and requested snapshots.
 
     trunc None runs free mode.  Snapshot times must lie in [0, T].  The march
-    stops at an exact fixed point: once n + 1 > quiet, the last nonzero p^0,
-    u_1 = b_n and later steps read no p^0.  If then b_{n+1} = u_1 = u_2, step
-    n + 2 solves from u_1 = b_{n+1}, u_2 = the old u_1 and guess b_{n+1}, the
-    floats that just gave b_{n+1}; by induction every later b is b_{n+1}.
+    stops at an exact fixed point.  Once n + 1 > quiet, the index of the last
+    nonzero p^0, u_1 = b_n and no later step reads a p^0.  If then b_{n+1} =
+    u_1 = u_2, step n + 2 solves from u_1 = b_{n+1}, u_2 = the old u_1 and guess
+    b_{n+1}, the floats that gave b_{n+1}: by induction all later b are b_{n+1}.
     """
     for ts in snapshot_times:
         if not 0.0 <= ts <= T:
