@@ -6,7 +6,8 @@
 `run` executes one scenario config and writes zeta.csv, field_t*.csv and
 report.json under DIR/<name>.  A negative --T requests backward time, which
 is run as the documented time reversal (same data with the velocity part
-negated).  `suite` runs every *.cfg in a directory (PW_THREADS, a
+negated); with a data.pi_file velocity profile, which the run cannot negate,
+it is a config error.  `suite` runs every *.cfg in a directory (PW_THREADS, a
 non-negative integer, caps the worker count; 0 or unset means up to 4) and
 prints one row per scenario and a summary line.
 
@@ -38,6 +39,8 @@ def _apply_overrides(s: Scenario, args) -> Scenario:
         if args.T == 0.0 or not math.isfinite(args.T):
             raise ConfigError("--T must be finite and nonzero")
         if args.T < 0.0:
+            if s.pi_file is not None:
+                raise ConfigError(f"--T < 0 cannot negate data.pi_file = {s.pi_file!r}")
             s = replace(s.reversed(), t_final=abs(args.T))
         else:
             s = replace(s, t_final=args.T)

@@ -8,8 +8,8 @@ cell of 1,024, from 16-point Gauss-Legendre prefix sums and the exact
 derivatives chi and chi' at the knots, to about 1e-15.
 
 chi_jet gives (chi, chi', chi'') at one number, for the scalar origin trace
-the ODE reads at every stage; chi_arr and chi_prime_arr are the array
-evaluators of the field and the audits.
+the ODE reads at every stage; chi_jet_arr gives (chi, chi') on arrays from
+the same pair of exps, for the field and the audits.
 """
 
 from __future__ import annotations
@@ -57,42 +57,32 @@ def _band_antiderivative() -> np.ndarray:
     h = (R_OUTER - R_INNER) / BAND_CELLS
     knots = np.linspace(R_INNER, R_OUTER, BAND_CELLS + 1)
     gx, gw = leggauss(16)
-    nodes = knots[:-1, None] + 0.5 * h * (1.0 + gx)
-    value = np.concatenate(([0.0], np.cumsum(0.5 * h * (chi_arr(nodes) @ gw))))
-    d1, d2 = h * chi_arr(knots), h * h * chi_prime_arr(knots)
+    # one Gauss column at a time: on all 16,384 nodes at once the jet's band
+    # temporaries would raise a run's peak RSS by about 0.8 MiB
+    at_nodes = np.column_stack([chi_jet_arr(knots[:-1] + 0.5 * h * (1.0 + x))[0] for x in gx])
+    value = np.concatenate(([0.0], np.cumsum(0.5 * h * (at_nodes @ gw))))
+    chi, chi_prime = chi_jet_arr(knots)
+    d1, d2 = h * chi, h * h * chi_prime
     # what the Taylor part p(0) + p'(0) x + p''(0) x^2 / 2 misses in p, p', p'' at x = 1
     miss = np.array([np.diff(value) - d1[:-1] - 0.5 * d2[:-1], np.diff(d1) - d2[:-1], np.diff(d2)])
     top = np.array([[6.0, -3.0, 0.5], [-15.0, 7.0, -1.0], [10.0, -4.0, 0.5]]) @ miss
     return np.vstack((top, 0.5 * d2[:-1], d1[:-1], value[:-1]))
 
 
-def chi_arr(r: np.ndarray) -> np.ndarray:
-    """Vectorized cutoff, matching chi_jet bit for bit on the plateaus."""
+def chi_jet_arr(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(chi, chi') on an array from one pair of exps per band point, matching
+    chi_jet bit for bit on the plateaus."""
     r = np.asarray(r, dtype=float)
-    out = np.where(r <= R_INNER, 1.0, 0.0)
+    value, d1 = np.where(r <= R_INNER, 1.0, 0.0), np.zeros_like(r)
     band = (r > R_INNER) & (r < R_OUTER)
     if np.any(band):
-        rb = r[band]
-        a = np.exp(-1.0 / (R_OUTER - rb))
-        b = np.exp(-1.0 / (rb - R_INNER))
-        out[band] = a / (a + b)
-    return out
-
-
-def chi_prime_arr(r: np.ndarray) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    band = (r > R_INNER) & (r < R_OUTER)
-    if np.any(band):
-        rb = r[band]
-        sa = R_OUTER - rb
-        sb = rb - R_INNER
-        a = np.exp(-1.0 / sa)
-        b = np.exp(-1.0 / sb)
-        ap = -a / (sa * sa)
-        bp = b / (sb * sb)
-        out[band] = (ap * b - a * bp) / (a + b) ** 2
-    return out
+        sa, sb = R_OUTER - r[band], r[band] - R_INNER
+        a, b = np.exp(-1.0 / sa), np.exp(-1.0 / sb)
+        s = a + b
+        value[band] = a / s
+        ap, bp = -a / (sa * sa), b / (sb * sb)
+        d1[band] = (ap * b - a * bp) / s**2
+    return value, d1
 
 
 def chi_integral(a: np.ndarray) -> np.ndarray:

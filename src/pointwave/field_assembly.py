@@ -1,10 +1,11 @@
 """Total field reconstruction, conserved energy, and distance to rest states.
 
 Everything is assembled in the reduced variable u = r psi.  The total field
-is the free (dispersive) wave plus the retarded wave emitted by the point
+is the free (dispersive) wave u_f, the profile W of free_wave carried
+along the characteristics, plus the retarded wave u_S emitted by the point
 amplitude, neither of which carries a 1/r in u:
 
-    u(r, t) = u_f(r, t) + theta(t - r) zeta(t - r) / 4pi,
+    u(r, t) = [W(r + t) - W(t - r)] / 2 + theta(t - r) zeta(t - r) / 4pi,
     d_t u_S = theta zeta'(t - r) / 4pi,   d_r u_S = -d_t u_S,
 
 with theta(0) = 1/2 on the cone, where the free part returns the mean of its
@@ -28,21 +29,21 @@ distance_to_stationary split [0, R] at the cones of the data kinks and of
 the history nodes, r = t - t_i, between which the retarded part is a
 polynomial in r, and integrate with quadrature.integrate_panels.
 
-energy_ledger gives H at
-many times at once from the characteristics of u_tt = u_rr: u_t + u_r
-carries the incoming data D(s) = u0'(s) + v0(s) in from r + t, u_t - u_r
-carries E(s) = v0(s) - u0'(s) out from r - t outside the cone, and
-zeta'(t - r) / 2pi - D(t - r) inside it, where the oscillator has answered
-(the reduced functions of free_wave.OddReduction).  So
+energy_ledger gives H at many times at once from the characteristics of
+u_tt = u_rr, reading only the profile D = W' of free_wave.OddReduction:
+u_t + u_r carries D(r + t) in, and u_t - u_r carries E(r - t) = -D(t - r)
+out outside the cone and zeta'(t - r) / 2pi - D(t - r) inside it, where the
+oscillator has answered.  So
 
-    H(t) = pi int_t^oo D^2 + pi int_0^oo E^2 + pi int_0^t (zeta'/2pi - D)^2 dtau + U(zeta(t))
+    H(t) = pi int_t^oo D(s)^2 ds + pi int_0^oo D(-s)^2 ds
+           + pi int_0^t (zeta'/2pi - D)^2 dtau + U(zeta(t))
 
 is incoming + outgoing + re-emitted + potential, from the same engine's
 per-panel integrals between the data kinks, the nodes and the row times.
 dH/dt = zeta' (zeta'/4pi + F(zeta) - D), which the reduced equation makes 0
-because lambda(t) = D(t).  Once the source expires (D = 0 from t_s on) the
-incoming part is 0 and the re-emitted part grows by int zeta'^2 / 4pi, the
-radiation, as U(zeta) falls.
+because lambda(t) = D(t) for t > 0.  Once the source expires (D = 0 from t_s
+on) the incoming part is 0 and the re-emitted part grows by int zeta'^2 / 4pi,
+the radiation, as U(zeta) falls.
 """
 
 from __future__ import annotations
@@ -241,20 +242,15 @@ def energy_ledger(state: InitialState, history: ZetaHistory, ts: np.ndarray) -> 
     s_end = red.support_time
     data = np.array(sorted({k for k in red.kinks if k < s_end} | {s_end}))
 
-    def D(s: np.ndarray) -> np.ndarray:
-        return red.u0_prime(s) + red.v0(s)
-
-    def E(s: np.ndarray) -> np.ndarray:
-        return red.v0(s) - red.u0_prime(s)
-
     def answered(s: np.ndarray) -> np.ndarray:
-        return zeta_at(history, s)[1] / (2.0 * math.pi) - D(s)
+        return zeta_at(history, s)[1] / (2.0 * math.pi) - red.D(s)
 
     # the data on [0, support]; the incoming part summed from the far end
     d_edges = split_points(np.concatenate([data, ts]), 0.0, s_end)
-    suffix = np.cumsum(_panel_integrals(lambda s: D(s) ** 2, d_edges)[::-1])[::-1]
+    suffix = np.cumsum(_panel_integrals(lambda s: red.D(s) ** 2, d_edges)[::-1])[::-1]
     incoming = math.pi * np.append(suffix, 0.0)[np.searchsorted(d_edges, np.minimum(ts, s_end))]
-    outgoing = math.pi * _panel_integrals(lambda s: E(s) ** 2, data).sum()
+    # the outgoing profile is E(s) = -D(-s)
+    outgoing = math.pi * _panel_integrals(lambda s: red.D(-s) ** 2, data).sum()
 
     r_edges = split_points(np.concatenate([history.times, data, ts]), 0.0, history.horizon)
     prefix = np.append(0.0, np.cumsum(_panel_integrals(lambda s: answered(s) ** 2, r_edges)))

@@ -2,25 +2,28 @@
 
 For radial data the substitution u = r psi turns the free 3D wave equation
 into the 1D wave equation on the half line, solved exactly by d'Alembert
-after odd extension.  The point-singular part of the data contributes an
-exact sign-function jump to the reduced profile u0 (never a sampled grid
-value), so evaluation is closed form everywhere off the light cone:
+after odd extension of u0(s) = s psi0(|s|) and v0(s) = s pi0(|s|).  The free
+wave is then one profile carried along the characteristics:
 
-    u_f(r, t) = [u0(r+t) + u0(r-t) + V(r+t) - V(r-t)] / 2
+    u_f(r, t) = [W(r + t) - W(t - r)] / 2,    W = u0 + V,  D = W' = u0' + v0,
 
-with u0 the odd extension of s * psi0(|s|) and V the even antiderivative of
-the odd extension of v0(s) = s * pi0(|s|).  dispersive_value evaluates this
-formula and dispersive_batch its time and radial derivatives, on arrays and
-at every r >= 0 (u_f(0, t) = 0 by oddness), with no division by r; the
-energy reads only the derivatives.  dispersive_eval is their validating view
-for psi_f = u_f / r at r > 0, and psi_G_eval the same formula on
-initial_data.bare_singular_data (the sharp-support check).  The origin trace
-lambda(t) = d_r u_f(0, t) at t >= 0, the source of the reduced oscillator
-equation, and its derivative lambda' are assembled analytically by
-lambda_at, in scalar form from the jets of the cutoff and the bumps: the ODE
-loop calls it once per stage, where an array call would cost far more than
-the formula, and reads lambda' for the exact zeta'' it stores at every node.
-From the support time, the state's support_radius, on, lambda is constant.
+with V the even antiderivative of v0; d_t u_f and d_r u_f are
+[D(r + t) -+ D(t - r)] / 2.  The point-singular part of the data is an exact
+sign-function jump in u0 and v0 (never a sampled grid value), so evaluation
+is closed form off the light cone, and on it sign(0) = 0 gives the mean of
+the one-sided limits.  dispersive_value evaluates u_f from W and
+dispersive_batch its derivatives from D, on arrays and at every r >= 0
+(u_f(0, t) = 0 by oddness), with no division by r.  dispersive_eval is their
+validating view for psi_f = u_f / r at r > 0, and psi_G_eval the same on
+initial_data.bare_singular_data (the sharp-support check).
+
+What reaches the origin is D itself: lambda(t) = d_r u_f(0, t) = D(t) for
+t > 0, the source of the reduced oscillator equation.  lambda_at gives it and
+lambda' in scalar form from the jets of the cutoff and the bumps, continuous
+at t = 0 where D is not (see OddReduction.D): the ODE calls it once per
+stage, where an array call would cost far more than the formula, and reads
+lambda' for the exact zeta'' at every node.  From the support time, the
+state's support_radius, on, lambda is constant.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutoff import R_OUTER, chi_arr, chi_integral, chi_jet, chi_prime_arr
+from .cutoff import R_OUTER, chi_integral, chi_jet, chi_jet_arr
 from .initial_data import FOUR_PI, InitialState, bare_singular_data
 
 
@@ -40,9 +43,10 @@ class OnConeWarning(UserWarning):
 
 @dataclass(eq=False)
 class OddReduction:
-    """Reduced 1D data for one state: u0, its derivative, v0 and V = int v0.
+    """Reduced 1D data for one state: the characteristic profile D and its
+    antiderivative W.
 
-    Built once per state and then shared read-only; all evaluations are pure
+    Built once per state and then shared read-only; both evaluations are pure
     and take scalars or arrays of s.  sign(0) = 0 makes the value on the
     jump cone the average of the one-sided limits.
     """
@@ -64,29 +68,28 @@ class OddReduction:
         """Radii in (lo, hi) where the field at time t is not smooth: the cones of the kinks."""
         return {c for k in self.kinks for c in (t - k, t + k, k - t) if lo < c < hi}
 
-    def u0(self, s: np.ndarray) -> np.ndarray:
-        a = np.abs(s)
-        coeff = self.alpha_phi + (self.zeta0 - self.alpha_phi) * chi_arr(a)
-        return np.sign(s) * coeff / FOUR_PI + s * self.phi_bump.value_arr(a)
+    def D(self, s: np.ndarray) -> np.ndarray:
+        """D = W' = u0' + v0 on an array of s, the profile u_t + u_r carries in.
 
-    def u0_prime(self, s: np.ndarray) -> np.ndarray:
+        u0' is even and v0 exactly odd, so E(s) = v0(s) - u0'(s) = -D(-s) bit for
+        bit.  For s > 0, D(s) is the origin trace lambda(s) to a few ulps.  D(0) is
+        not lambda(0+): sign(0) = 0 gives v0(0) = 0, the mean of v0's one-sided
+        limits, so D(0) = lambda(0+) - zeta_dot0 / 4pi.
+        """
         a = np.abs(s)
-        return (
-            (self.zeta0 - self.alpha_phi) * chi_prime_arr(a) / FOUR_PI
-            + self.phi_bump.value_arr(a)
-            + a * self.phi_bump.d1_arr(a)
-        )
+        chi, chi_prime = chi_jet_arr(a)
+        p, p1 = self.phi_bump.jet_arr(a)
+        u0_prime = (self.zeta0 - self.alpha_phi) * chi_prime / FOUR_PI + p + a * p1
+        coeff = self.alpha_pi + (self.zeta_dot0 - self.alpha_pi) * chi
+        return u0_prime + (np.sign(s) * coeff / FOUR_PI + s * self.pi_bump.jet_arr(a)[0])
 
-    def v0(self, s: np.ndarray) -> np.ndarray:
+    def W(self, s: np.ndarray) -> np.ndarray:
+        """W = u0 + V on an array of s: the odd u0 plus V, the even antiderivative of v0."""
         a = np.abs(s)
-        coeff = self.alpha_pi + (self.zeta_dot0 - self.alpha_pi) * chi_arr(a)
-        return np.sign(s) * coeff / FOUR_PI + s * self.pi_bump.value_arr(a)
-
-    def V(self, s: np.ndarray) -> np.ndarray:
-        a = np.abs(s)
-        return (
-            self.alpha_pi * a + (self.zeta_dot0 - self.alpha_pi) * chi_integral(a)
-        ) / FOUR_PI + self.pi_bump.integral_r(a)
+        coeff = self.alpha_phi + (self.zeta0 - self.alpha_phi) * chi_jet_arr(a)[0]
+        u0 = np.sign(s) * coeff / FOUR_PI + s * self.phi_bump.jet_arr(a)[0]
+        V = (self.alpha_pi * a + (self.zeta_dot0 - self.alpha_pi) * chi_integral(a)) / FOUR_PI
+        return u0 + (V + self.pi_bump.integral_r(a))
 
 
 def reduction(state: InitialState) -> OddReduction:
@@ -110,18 +113,15 @@ def dispersive_batch(
     """(d_t u_f, d_r u_f) of u_f = r psi_f at radii r >= 0 and times t, broadcast together."""
     red = reduction(state)
     r = np.asarray(r, dtype=float)
-    sp, sm = r + t, r - t
-    up_p, up_m = red.u0_prime(sp), red.u0_prime(sm)
-    v_p, v_m = red.v0(sp), red.v0(sm)
-    return 0.5 * (up_p - up_m + v_p + v_m), 0.5 * (up_p + up_m + v_p - v_m)
+    d_in, d_out = red.D(r + t), red.D(t - r)
+    return 0.5 * (d_in - d_out), 0.5 * (d_in + d_out)
 
 
 def dispersive_value(state: InitialState, r: np.ndarray, t: np.ndarray) -> np.ndarray:
     """u_f = r psi_f itself at radii r >= 0 and times t, broadcast together."""
     red = reduction(state)
     r = np.asarray(r, dtype=float)
-    sp, sm = r + t, r - t
-    return 0.5 * (red.u0(sp) + red.u0(sm) + red.V(sp) - red.V(sm))
+    return 0.5 * (red.W(r + t) - red.W(t - r))
 
 
 def check_domain(r: np.ndarray, t: float) -> None:

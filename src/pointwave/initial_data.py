@@ -17,8 +17,8 @@ zeta_dot0 chi G) alone, for free-evolution probes.
 
 Each bump (PolynomialBump, SplineBump, CallableBump) gives its value and
 first two derivatives at a number from one call, jet, for the scalar origin
-trace the ODE reads at every stage, and its value, first derivative and
-int_0^a s p(s) ds on arrays for the field and the audits.
+trace the ODE reads at every stage, (p, p') on arrays from one call,
+jet_arr, for the field and the audits, and int_0^a s p(s) ds on arrays.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cutoff import R_OUTER, chi_arr
+from .cutoff import R_OUTER, chi_jet_arr
 from .nonlinearity import Nonlinearity, _horner, linear
 from .quadrature import integrate_panel, split_points
 
@@ -65,16 +65,12 @@ class PolynomialBump:
             a6 * u2 / rho2 + 24.0 * self.amplitude * r * r * u / rho**4,
         )
 
-    def value_arr(self, r: np.ndarray) -> np.ndarray:
+    def jet_arr(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(p, p') on an array of radii, 0 from the support on."""
         rho = self.support_radius
-        s = np.minimum(r / rho, 1.0) ** 2
-        return self.amplitude * (1.0 - s) ** 3
-
-    def d1_arr(self, r: np.ndarray) -> np.ndarray:
-        rho = self.support_radius
-        inside = r < rho
-        s = np.where(inside, r / rho, 1.0) ** 2
-        return np.where(inside, -6.0 * self.amplitude * r * (1.0 - s) ** 2 / rho**2, 0.0)
+        u = 1.0 - np.minimum(r / rho, 1.0) ** 2
+        d1 = np.where(r < rho, -6.0 * self.amplitude * r * u**2 / rho**2, 0.0)
+        return self.amplitude * u**3, d1
 
     def integral_r(self, a: np.ndarray) -> np.ndarray:
         """int_0^a s * bump(s) ds, closed form."""
@@ -155,11 +151,12 @@ class SplineBump:
         x = r - self.knots[i]
         return tuple(float(_horner(c[:, i], x)) for c in self._c)
 
-    def _eval(self, r: np.ndarray, nu: int) -> np.ndarray:
-        """nu-th derivative on an array of radii, 0 from the support on."""
+    def jet_arr(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(p, p') on an array of radii from one knot search, 0 from the support on."""
         a = np.minimum(r, self.support_radius)
         i = np.clip(np.searchsorted(self._x, a, side="right") - 1, 0, len(self._x) - 2)
-        return np.where(r < self.support_radius, _horner(self._c[nu][:, i], a - self._x[i]), 0.0)
+        x, inside = a - self._x[i], r < self.support_radius
+        return tuple(np.where(inside, _horner(c[:, i], x), 0.0) for c in self._c[:2])
 
     def _piece_integral(self, i: np.ndarray, u: np.ndarray) -> np.ndarray:
         # int of s p(s) over [x_i, x_i + u]; s p = (u + x_i) p(u) is quartic in u
@@ -172,12 +169,6 @@ class SplineBump:
             + (c0 + left * c1) * u**2 / 2.0
             + left * c0 * u
         )
-
-    def value_arr(self, r: np.ndarray) -> np.ndarray:
-        return self._eval(r, 0)
-
-    def d1_arr(self, r: np.ndarray) -> np.ndarray:
-        return self._eval(r, 1)
 
     def integral_r(self, a: np.ndarray) -> np.ndarray:
         """int_0^a s * bump(s) ds: whole spline pieces by prefix sum, then the partial one."""
@@ -203,17 +194,14 @@ class CallableBump:
     def jet(self, r: float) -> tuple[float, float, float]:
         return self.jet_fn(r) if r < self.support_radius else (0.0, 0.0, 0.0)
 
-    def value_arr(self, r: np.ndarray) -> np.ndarray:
-        return np.vectorize(lambda x: self.jet(x)[0], otypes=[float])(r)
-
-    def d1_arr(self, r: np.ndarray) -> np.ndarray:
-        return np.vectorize(lambda x: self.jet(x)[1], otypes=[float])(r)
+    def jet_arr(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.vectorize(lambda x: self.jet(x)[:2], otypes=[float, float])(r)
 
     def integral_r(self, a: np.ndarray) -> np.ndarray:
         """int_0^a s * bump(s) ds, by one quadrature and prefix sums."""
         hi = np.clip(a, 0.0, self.support_radius)
         edges = split_points([1.0, 2.0, *np.ravel(hi)], 0.0, self.support_radius)
-        pieces = integrate_panel(lambda s: s * self.value_arr(s), edges[:-1], edges[1:], 1e-13)
+        pieces = integrate_panel(lambda s: s * self.jet_arr(s)[0], edges[:-1], edges[1:], 1e-13)
         return np.append(0.0, np.cumsum(pieces))[np.searchsorted(edges, hi)]
 
 
@@ -229,8 +217,8 @@ class RadialProfile:
 
     def value_arr(self, r: np.ndarray) -> np.ndarray:
         """Profile at radii r >= 0, tail included; 1 - chi vanishes on r <= 1."""
-        tail = self.tail * (1.0 - chi_arr(r)) / (FOUR_PI * np.maximum(r, 1.0))
-        return self.bump.value_arr(r) + tail
+        tail = self.tail * (1.0 - chi_jet_arr(r)[0]) / (FOUR_PI * np.maximum(r, 1.0))
+        return self.bump.jet_arr(r)[0] + tail
 
     @property
     def value_at_origin(self) -> float:
@@ -261,7 +249,7 @@ class InitialState:
     def reduced_data(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(r psi0, r pi0) at radii r >= 0: zeta chi / 4 pi + r times the regular
         profile, with no division by r."""
-        c = chi_arr(r)
+        c = chi_jet_arr(r)[0]
         u0 = self.zeta0 * c / FOUR_PI + r * self.phi_c.value_arr(r)
         return u0, self.zeta_dot0 * c / FOUR_PI + r * self.pi_c.value_arr(r)
 

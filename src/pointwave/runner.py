@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,18 +64,7 @@ class ScenarioReport:
     wall_seconds: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "q_plus": self.q_plus,
-            "converged": self.converged,
-            "F_residual": self.F_residual,
-            "energy_drift_rel": self.energy_drift_rel,
-            "huygens_max_abs": self.huygens_max_abs,
-            "lambda_margin": self.lambda_margin,
-            "oracle_rel_l2": self.oracle_rel_l2,
-            "oracle_rel_l2_cone_excluded": self.oracle_rel_l2_cone_excluded,
-            "wall_seconds": self.wall_seconds,
-        }
+        return asdict(self)
 
 
 @dataclass(eq=False)
@@ -188,6 +177,10 @@ def run_scenario(
     if s.oracle_enabled:
         t_or = s.oracle_time if s.oracle_time is not None else min(10.0, s.t_final)
         h_or = s.oracle_h if s.oracle_h is not None else s.oracle_R / 4096.0
+        # the oracle snapshots at a multiple of h: compare at the largest m h <= t,
+        # or at t itself when m h is t to rounding
+        if not math.isclose(round(t_or / h_or) * h_or, t_or, rel_tol=1e-12):
+            t_or = math.floor(t_or / h_or) * h_or
         try:
             orun = fd_oracle.run(
                 state, trunc, T=t_or, h=h_or, R=s.oracle_R, snapshot_times=(t_or,)

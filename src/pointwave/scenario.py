@@ -6,7 +6,8 @@ number.  Numbers must be finite.  Radii, steps, tolerances, check bounds,
 ode.t_final and oracle.time must be positive where set.  Lists are
 comma-separated.  Keys and defaults:
 
-    name                      scenario label (required)
+    name                      scenario label and output directory name
+                              (required; no /, \\, . or ..)
     nonlinearity.kind         cubic | linear | quintic | poly   [cubic]
     nonlinearity.coefficients comma floats, constant first (poly only;
                               odd degree, positive lead: U confining)
@@ -38,7 +39,8 @@ comma-separated.  Keys and defaults:
     oracle.enabled            true | false                      [false]
     oracle.h                  grid step ("auto" = R/4096)
     oracle.R                  grid radius                       [8.0]
-    oracle.time               comparison time ("auto" = min(10, T))
+    oracle.time               comparison time, moved down onto the
+                              grid ("auto" = min(10, T))
     check.energy_drift        max relative drift                [1e-6]
     check.require_convergence true | false: require the limit certificate
                               of detect_limit (T >= t_s, zeta monotone
@@ -217,6 +219,8 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> Scenario:
 
     if "name" not in values or not values["name"]:
         raise ConfigError("missing required key 'name'")
+    if values["name"] in (".", "..") or any(c in values["name"] for c in "/\\"):
+        raise ConfigError(f"name: {values['name']!r} is not a plain directory name")
     scenario = Scenario(**values)
     _validate(scenario, base_dir)
     # only times the config sets: the default energy times outrun a short T

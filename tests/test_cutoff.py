@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from pointwave.cutoff import CHI_INTEGRAL_FULL, chi_arr, chi_integral, chi_jet, chi_prime_arr
+from pointwave.cutoff import CHI_INTEGRAL_FULL, chi_integral, chi_jet, chi_jet_arr
 
 
 def chi(r):
@@ -73,5 +73,6 @@ def test_integral_continuous_at_band_ends():
 def test_vectorized_paths_agree():
     r = np.linspace(0.0, 2.6, 373)
     value, d1, _ = np.array([chi_jet(x) for x in r.tolist()]).T
-    assert np.allclose(chi_arr(r), value, rtol=0, atol=1e-15)
-    assert np.allclose(chi_prime_arr(r), d1, rtol=0, atol=1e-15)
+    chi, chi_prime = chi_jet_arr(r)
+    assert np.allclose(chi, value, rtol=0, atol=1e-15)
+    assert np.allclose(chi_prime, d1, rtol=0, atol=1e-15)

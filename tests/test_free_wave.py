@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pointwave as pw
-from pointwave.cutoff import chi_jet
+from scipy.integrate import quad
+
+from pointwave.cutoff import chi_integral, chi_jet, chi_jet_arr
 from pointwave.free_wave import (
     OnConeWarning,
     dispersive_batch,
@@ -34,25 +36,109 @@ def coulomb_state(zeta0, zeta_dot0):
     )
 
 
+def reduced_parts(state, s):
+    """The four reduced functions u0, u0', v0 and V = int v0 of the state at s,
+    each written out from the array jets of the cutoff and the bumps."""
+    z0, zd0, a_phi, a_pi = state.zeta0, state.zeta_dot0, state.phi_c.tail, state.pi_c.tail
+    phi, pi = state.phi_c.bump, state.pi_c.bump
+    a = np.abs(s)
+    chi, chi_prime = chi_jet_arr(a)
+    (p, p1), v = phi.jet_arr(a), pi.jet_arr(a)[0]
+    u0 = np.sign(s) * (a_phi + (z0 - a_phi) * chi) / FOUR_PI + s * p
+    u0_prime = (z0 - a_phi) * chi_prime / FOUR_PI + p + a * p1
+    v0 = np.sign(s) * (a_pi + (zd0 - a_pi) * chi) / FOUR_PI + s * v
+    V = (a_pi * a + (zd0 - a_pi) * chi_integral(a)) / FOUR_PI + pi.integral_r(a)
+    return u0, u0_prime, v0, V
+
+
+def four_term(state, r, t):
+    """(u_f, d_t u_f, d_r u_f) by d'Alembert's formula in the four reduced functions."""
+    u0_p, d_p, v0_p, V_p = reduced_parts(state, r + t)
+    u0_m, d_m, v0_m, V_m = reduced_parts(state, r - t)
+    return (
+        0.5 * (u0_p + u0_m + V_p - V_m),
+        0.5 * (d_p - d_m + v0_p + v0_m),
+        0.5 * (d_p + d_m + v0_p - v0_m),
+    )
+
+
+def characteristic_state(which, ref_state):
+    return {"ref": ref_state, "tails": tail_state(), "spline": _lambda_prime_state("spline")}[which]
+
+
 class TestOddReduction:
     @settings(max_examples=80, deadline=None)
     @given(st.floats(min_value=0.01, max_value=4.0))
     def test_parity(self, s):
-        red = reduction(bare_singular_data(0.7, -0.4))
-        assert red.u0(-s) == pytest.approx(-red.u0(s), abs=1e-16)
-        assert red.v0(-s) == pytest.approx(-red.v0(s), abs=1e-16)
-        assert red.V(-s) == red.V(s)
-        assert red.u0_prime(-s) == red.u0_prime(s)
+        # position data alone: W = u0 is odd and D = u0' even;
+        # velocity data alone: W = V is even and D = v0 odd
+        pos = reduction(bare_singular_data(0.7, 0.0))
+        assert pos.W(-s) == -pos.W(s)
+        assert pos.D(-s) == pos.D(s)
+        vel = reduction(bare_singular_data(0.0, -0.4))
+        assert vel.W(-s) == vel.W(s)
+        assert vel.D(-s) == -vel.D(s)
 
     def test_constant_beyond_support(self):
         red = reduction(bare_singular_data(0.7, -0.4))
-        assert red.u0(2.5) == 0.0
-        assert red.u0(9.0) == 0.0
-        assert red.V(2.5) == red.V(7.0)
+        assert red.D(2.5) == red.D(-9.0) == 0.0
+        assert red.W(2.5) == red.W(7.0)
 
         tail = reduction(coulomb_state(0.7, 0.0))
-        assert tail.u0(3.0) == pytest.approx(0.7 / FOUR_PI, rel=1e-15)
-        assert tail.u0(30.0) == pytest.approx(0.7 / FOUR_PI, rel=1e-15)
+        assert tail.W(3.0) == pytest.approx(0.7 / FOUR_PI, rel=1e-15)
+        assert tail.W(30.0) == pytest.approx(0.7 / FOUR_PI, rel=1e-15)
+        assert tail.D(3.0) == 0.0
+
+    @pytest.mark.parametrize("which", ["ref", "tails", "spline"])
+    def test_W_is_the_antiderivative_of_D(self, ref_state, which):
+        state = characteristic_state(which, ref_state)
+        red = reduction(state)
+        # on one side of s = 0, where u0 and v0 jump
+        for a, b in ((0.1, 0.9), (0.3, 2.7), (-2.4, -0.2), (-3.5, -1.1)):
+            kinks = [x for k in red.kinks for x in (k, -k) if a < x < b]
+            ref, _ = quad(lambda s: float(red.D(s)), a, b, points=kinks or None, epsabs=1e-15)
+            assert float(red.W(b) - red.W(a)) == pytest.approx(ref, abs=1e-13)
+
+
+class TestCharacteristicForm:
+    """u_f = [W(r + t) - W(t - r)] / 2 and its derivatives from D against the
+    four-term d'Alembert formula, and D as the origin trace and the ledger's profile."""
+
+    @pytest.mark.parametrize("which", ["ref", "tails", "spline"])
+    def test_matches_four_term_dalembert(self, ref_state, which):
+        state = characteristic_state(which, ref_state)
+        # includes r = 0, the cone r = t and the kink cones
+        r, t = np.meshgrid(np.linspace(0.0, 6.0, 121), np.linspace(0.0, 5.0, 101))
+        got = (dispersive_value(state, r, t), *dispersive_batch(state, r, t))
+        for g, w in zip(got, four_term(state, r, t)):
+            assert np.max(np.abs(g - w)) <= 4.0 * np.spacing(np.max(np.abs(w)))
+
+    @pytest.mark.parametrize("which", ["ref", "tails", "spline"])
+    def test_outgoing_profile_bit_for_bit(self, ref_state, which):
+        # the ledger's incoming D and outgoing E(s) = -D(-s) are u0' + v0 and v0 - u0'
+        state = characteristic_state(which, ref_state)
+        s = np.linspace(0.0, 4.0, 401)
+        _, u0_prime, v0, _ = reduced_parts(state, s)
+        red = reduction(state)
+        assert np.array_equal(red.D(s), u0_prime + v0)
+        assert np.array_equal(-red.D(-s), v0 - u0_prime)
+
+    @pytest.mark.parametrize("which", ["ref", "tails", "spline"])
+    def test_origin_trace_is_D(self, ref_state, which):
+        state = characteristic_state(which, ref_state)
+        red = reduction(state)
+        ts = np.linspace(0.0, red.support_time, 1001)[1:-1]
+        lam = np.array([lambda_at(state, t)[0] for t in ts.tolist()])
+        assert np.max(np.abs(red.D(ts) - lam)) <= 4.0 * np.spacing(np.max(np.abs(lam)))
+
+    def test_D_at_zero_is_not_the_trace(self, ref_state):
+        # sign(0) = 0 gives v0(0) = 0, the mean of its one-sided limits, so D(0)
+        # misses the velocity jump zeta_dot0 / 4pi that lambda(0+) has
+        red = reduction(ref_state)
+        gap = lambda_at(ref_state, 0.0)[0] - float(red.D(0.0))
+        assert gap == pytest.approx(ref_state.zeta_dot0 / FOUR_PI, rel=1e-14)
+        assert gap == pytest.approx(0.0239, abs=1e-4)
+        assert float(red.D(1e-12)) == pytest.approx(lambda_at(ref_state, 0.0)[0], abs=1e-11)
 
 
 class TestDispersiveEval:

@@ -45,8 +45,9 @@ class TestPolynomialBump:
     def test_vector_paths(self):
         r = np.linspace(0.0, 1.5, 97)
         value, d1, _ = np.array([self.bump.jet(x) for x in r.tolist()]).T
-        assert np.allclose(self.bump.value_arr(r), value, atol=1e-16)
-        assert np.allclose(self.bump.d1_arr(r), d1, atol=1e-16)
+        got_value, got_d1 = self.bump.jet_arr(r)
+        assert np.allclose(got_value, value, atol=1e-16)
+        assert np.allclose(got_d1, d1, atol=1e-16)
 
 
 class TestSplineBump:
@@ -91,7 +92,7 @@ class TestSplineBump:
         ref = CubicSpline(r, v, bc_type=((1, 0.0), (1, 0.0)))
         x = np.linspace(0.0, r[-1], 1001)[:-1]
         jets = np.array([bump.jet(s) for s in x.tolist()]).T
-        for got, nu in ((bump.value_arr(x), 0), (bump.d1_arr(x), 1), *zip(jets, range(3))):
+        for got, nu in (*zip(bump.jet_arr(x), range(2)), *zip(jets, range(3))):
             want = ref(x, nu)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -111,6 +112,14 @@ def test_callable_bump_numeric_integral():
     bump = CallableBump(jet_fn=chi_jet, support_radius=2.0)
     ref, _ = quad(lambda s: s * chi_jet(s)[0], 0.0, 1.7, epsabs=1e-13, limit=200)
     assert bump.integral_r(1.7) == pytest.approx(ref, abs=1e-11)
+
+
+def test_callable_bump_array_jet():
+    bump = CallableBump(jet_fn=chi_jet, support_radius=1.8)
+    r = np.linspace(0.0, 2.5, 51)
+    value, d1 = bump.jet_arr(r)
+    assert value.tolist() == [bump.jet(x)[0] for x in r.tolist()]
+    assert d1.tolist() == [bump.jet(x)[1] for x in r.tolist()]
 
 
 def test_radial_profile_tail_vanishes_inside():

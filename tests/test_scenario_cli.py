@@ -151,7 +151,12 @@ class TestParse:
         r = s.reversed()
         assert r.zeta_dot0 == -s.zeta_dot0
         assert r.pi_amplitude == -s.pi_amplitude
-        assert r.tail_pi == -s.tail_pi
+
+    @pytest.mark.parametrize("name", ["../escaped", "/tmp/escaped", "a/b", "a\\b", ".", ".."])
+    def test_name_is_one_plain_path_component(self, name):
+        # the name is the output directory under --out
+        with pytest.raises(ConfigError, match=r"^name: .* is not a plain directory name"):
+            parse_config(MINIMAL.replace("stationary_demo", name))
 
 
 class TestRunScenario:
@@ -233,6 +238,17 @@ class TestRunScenario:
         ra.pop("wall_seconds")
         rb.pop("wall_seconds")
         assert ra == rb
+
+    def test_oracle_compares_at_its_snapshot_time(self):
+        # T = 7.3 is 3737.6 steps of the default h = R/4096: the march and its
+        # snapshot are at 3737 h, and the field must be read there too (at
+        # 7.3 itself the discrepancy was 6.5e-4, against 2.3e-6 on the grid)
+        text = (SHIPPED / "reference.cfg").read_text()
+        for line in ("ode.t_final = 7.3", "snapshot.times = 5", "oracle.enabled = true"):
+            text = with_line(text, line)
+        result = run_scenario(parse_config(text))
+        assert result.ok, result.failures
+        assert result.report.oracle_rel_l2 < 1e-5
 
     @pytest.mark.parametrize("zeta0", [3.0, 5.0])
     def test_large_data_passes_at_default_tol(self, zeta0):
@@ -436,6 +452,27 @@ class TestCli:
         a = (tmp_path / "rev" / "linear_short" / "zeta.csv").read_bytes()
         b = (tmp_path / "neg" / "linear_short" / "zeta.csv").read_bytes()
         assert a == b
+
+    def test_time_reversal_refuses_velocity_profile_file(self, tmp_path):
+        # --T < 0 negates zeta_dot0 and pi_amplitude, but a data.pi_file profile
+        # would run unnegated, as the forward run
+        (tmp_path / "pi.txt").write_text("0 0.3\n0.4 -0.1\n0.8 0.05\n1.2 0\n")
+        cfg = tmp_path / "spline.cfg"
+        cfg.write_text("name = spline_pi\ndata.kind = spline\ndata.pi_file = pi.txt\node.t_final = 3\n")
+        proc = run_cli("run", str(cfg), "--out", str(tmp_path / "out"), "--T", "-3")
+        assert proc.returncode == 2, proc.stderr + proc.stdout
+        assert "Traceback" not in proc.stderr
+        assert "config error: --T < 0 cannot negate data.pi_file = 'pi.txt'" in proc.stderr
+        assert not (tmp_path / "out").exists()
+        assert run_cli("run", str(cfg), "--out", str(tmp_path / "out"), "--T", "3").returncode == 0
+
+    def test_run_escaping_name_exit_two(self, tmp_path):
+        cfg = tmp_path / "escape.cfg"
+        cfg.write_text(MINIMAL.replace("stationary_demo", "../escaped"))
+        proc = run_cli("run", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert "config error: name: '../escaped' is not a plain directory name" in proc.stderr
+        assert not (tmp_path / "escaped").exists()
 
     def test_suite(self, tmp_path):
         d = tmp_path / "suite"
