@@ -29,7 +29,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .runner import run_scenario
-from .scenario import ConfigError, Scenario, load_config
+from .scenario import ConfigError, Scenario, load_config, validate
 
 EXIT_OK, EXIT_FAILED, EXIT_CONFIG, EXIT_RAISED = 0, 1, 2, 3
 
@@ -62,6 +62,7 @@ def _run_one(config_path: Path, out_root: Path, args=None) -> tuple[int, str]:
     scenario = load_config(config_path)
     if args is not None:
         scenario = _apply_overrides(scenario, args)
+        validate(scenario, config_path.parent)
     try:
         result = run_scenario(scenario, out_root / scenario.name, base_dir=config_path.parent)
     except (ValueError, RuntimeError) as exc:

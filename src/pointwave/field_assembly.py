@@ -43,7 +43,10 @@ per-panel integrals between the data kinks, the nodes and the row times.
 dH/dt = zeta' (zeta'/4pi + F(zeta) - D), which the reduced equation makes 0
 because lambda(t) = D(t) for t > 0.  Once the source expires (D = 0 from t_s
 on) the incoming part is 0 and the re-emitted part grows by int zeta'^2 / 4pi,
-the radiation, as U(zeta) falls.
+the radiation, as U(zeta) falls.  For any history the ledger and energy
+measure one integral, u_t^2 + u_r^2 being [(u_t + u_r)^2 + (u_t - u_r)^2] / 2,
+so the runner's energy gate reads the ledger away from t = 0 and T, where
+energy audits the assembled field.
 """
 
 from __future__ import annotations

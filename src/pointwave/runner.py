@@ -10,9 +10,9 @@ check in any meaningful way.
 Outputs per scenario: zeta.csv (t, zeta, zeta_dot, lambda, F, H),
 field_t*.csv snapshots, report.json.  All data files are bit-reproducible
 for a fixed config; wall-clock time appears only in the report metadata.
-The H column of zeta.csv comes from one energy_ledger pass over all rows;
-field_assembly.energy is the independent audit, at H0 and at the energy
-times, and only the audit enters the report.
+The H column of zeta.csv comes from one energy_ledger pass over all rows,
+and the report's energies at the energy times in (0, T) from another;
+field_assembly.energy, the assembled-field audit, runs at H0 and at T.
 """
 
 from __future__ import annotations
@@ -85,11 +85,9 @@ def build_state(s: Scenario, base_dir: str | Path | None = None) -> tuple[Nonlin
     if s.data_kind == "stationary":
         return nl, stationary_data(s.q, nl)
     if s.data_kind == "spline":
-        phi_bump = (
-            SplineBump.from_file(Path(base_dir or ".", s.phi_file)) if s.phi_file else ZERO_BUMP
-        )
-        pi_bump = (
-            SplineBump.from_file(Path(base_dir or ".", s.pi_file)) if s.pi_file else ZERO_BUMP
+        phi_bump, pi_bump = (
+            SplineBump.from_file(Path(base_dir or ".", f)) if f else ZERO_BUMP
+            for f in (s.phi_file, s.pi_file)
         )
     else:
         amplitude = s.amplitude if s.amplitude is not None else nl.eval(s.zeta0)[1]
@@ -163,8 +161,10 @@ def run_scenario(
 
     limit = detect_limit(history, nl)
     energies = {0.0: H0}
-    for t in sorted({*(t for t in s.energy_times if 0.0 < t <= s.t_final), s.t_final}):
-        energies[t] = energy(state, history, t, s.quad_radius, s.quad_tol).total
+    inner = sorted({t for t in s.energy_times if 0.0 < t < s.t_final})
+    if inner:
+        energies.update(zip(inner, energy_ledger(state, history, inner).total.tolist()))
+    energies[s.t_final] = energy(state, history, s.t_final, s.quad_radius, s.quad_tol).total
     denom = abs(H0) if abs(H0) > 1e-9 else 1.0
     drift = max(abs(h - H0) for h in energies.values()) / denom
 

@@ -30,7 +30,8 @@ comma-separated.  Keys and defaults:
                               relative to max(1, its size),
                               shared by panel length            [1e-12]
     quad.radius               energy ball ("auto" = t + support + 1)
-    report.energy_times       comma floats; times set here past
+    report.energy_times       comma floats: ledger energies in (0, T)
+                              and the audit at T; times set here past
                               T warn (TimesPastHorizonWarning)  [1,5,10,20]
     report.csv_rows           rows in zeta.csv                  [201]
     snapshot.times            comma floats; as energy_times     []
@@ -40,7 +41,8 @@ comma-separated.  Keys and defaults:
     oracle.h                  grid step ("auto" = R/4096)
     oracle.R                  grid radius                       [8.0]
     oracle.time               comparison time, moved down onto the
-                              grid ("auto" = min(10, T))
+                              grid ("auto" = min(10, T)); at most T
+                              when the oracle is enabled
     check.energy_drift        max relative drift                [1e-6]
     check.require_convergence true | false: require the limit certificate
                               of detect_limit (T >= t_s, zeta monotone
@@ -222,7 +224,7 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> Scenario:
     if values["name"] in (".", "..") or any(c in values["name"] for c in "/\\"):
         raise ConfigError(f"name: {values['name']!r} is not a plain directory name")
     scenario = Scenario(**values)
-    _validate(scenario, base_dir)
+    validate(scenario, base_dir)
     # only times the config sets: the default energy times outrun a short T
     for key, attr in (
         ("report.energy_times", "energy_times"),
@@ -239,11 +241,13 @@ def parse_config(text: str, base_dir: str | Path | None = None) -> Scenario:
     return scenario
 
 
-def _validate(s: Scenario, base_dir: str | Path | None) -> None:
+def validate(s: Scenario, base_dir: str | Path | None) -> None:
     for key in _POSITIVE:
         value = getattr(s, _KEYS[key][0])
         if value is not None and not value > 0.0:
             raise ConfigError(f"{key}: must be positive, got {value!r}")
+    if s.oracle_enabled and s.oracle_time is not None and s.oracle_time > s.t_final:
+        raise ConfigError(f"oracle.time: {s.oracle_time!r} is past ode.t_final = {s.t_final!r}")
     for key in ("report.csv_rows", "snapshot.points"):
         value = getattr(s, _KEYS[key][0])
         if value < 2:

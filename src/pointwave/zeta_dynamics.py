@@ -136,15 +136,7 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_E = (
-    71 / 57600,
-    0.0,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
-)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 # weights of (y0, y1, h d0, h d1, h^2 s0, h^2 s1) in z and of (y0 / h, y1 / h,
 # d0, d1, h s0, h s1) in z' at the stage times 3/10 and 8/9 of the defect; the
 # y0 and y1 weights of z' are opposite

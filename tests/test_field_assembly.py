@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -395,9 +396,8 @@ def test_energy_audit_calls_the_integrand_per_block_and_level(reference_config_r
     assert values == []
 
 
-def test_artifact_path_audits_only(tmp_path, monkeypatch):
-    # zeta.csv's H comes from the ledger; energy() runs only at H0 and the audits
-    s = load_config(SCENARIO_DIR / "reference.cfg")
+def count_energy_calls(monkeypatch) -> list:
+    """The times of the runner's energy() calls, appended as they happen."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -405,9 +405,20 @@ def test_artifact_path_audits_only(tmp_path, monkeypatch):
         return energy(*args, **kwargs)
 
     monkeypatch.setattr(runner, "energy", counted)
+    return calls
+
+
+def test_artifact_path_audits_only(tmp_path, monkeypatch):
+    # zeta.csv's H and the report's energies in (0, T) come from the ledger;
+    # energy() runs only at H0 and T
+    s = load_config(SCENARIO_DIR / "reference.cfg")
+    calls = count_energy_calls(monkeypatch)
     res = run_scenario(s, tmp_path / "a")
-    audits = {t for t in s.energy_times if 0.0 < t <= s.t_final} | {s.t_final}
-    assert len(calls) == 1 + len(audits) == 6
+    assert calls == [0.0, s.t_final]
+    inner = sorted(t for t in s.energy_times if 0.0 < t < s.t_final)
+    assert list(res.energies) == [0.0, *inner, s.t_final]
+    ledger = energy_ledger(res.state, res.history, inner)
+    assert [res.energies[t] for t in inner] == ledger.total.tolist()
     text = (tmp_path / "a" / "zeta.csv").read_text(encoding="utf-8")
     rows = np.array([[float(v) for v in line.split(",")] for line in text.splitlines()[1:]])
     ledger = energy_ledger(res.state, res.history, np.linspace(0.0, s.t_final, s.csv_rows))
@@ -415,6 +426,46 @@ def test_artifact_path_audits_only(tmp_path, monkeypatch):
     assert np.array_equal(rows[:, 5], ledger.total)
     run_scenario(s, tmp_path / "b")
     assert (tmp_path / "b" / "zeta.csv").read_bytes() == text.encode("utf-8")
+
+
+def test_gate_catches_loose_integration():
+    # at rel_tol 1e-6 the trajectory breaks conservation by about 7e-7; the
+    # ledger rows report it as the assembled-field audit at those times does
+    s = replace(load_config(SCENARIO_DIR / "reference.cfg"), rel_tol=1e-6)
+    res = run_scenario(s, None)
+    H0, drift = res.H0, res.report.energy_drift_rel
+    assert drift > 1e-10
+    inner = [t for t in res.energies if 0.0 < t < s.t_final]
+    assert max(abs(res.energies[t] - H0) for t in inner) / abs(H0) > 1e-10
+    assert drift == max(abs(h - H0) for h in res.energies.values()) / abs(H0)
+    audit = [energy(res.state, res.history, t, s.quad_radius, s.quad_tol) for t in res.energies]
+    audit_drift = max(abs(a.total - H0) for a in audit) / abs(H0)
+    assert abs(drift - audit_drift) <= 1e-14 * max(1.0, abs(H0)) / abs(H0)
+    assert res.ok
+    failed = run_scenario(replace(s, check_energy_drift=0.5 * drift), None)
+    assert not failed.ok
+    assert any(msg.startswith("energy drift") for msg in failed.failures)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        dict(t_final=0.5, check_require_convergence=False),
+        dict(t_final=3.0, energy_times=(3.0, 8.0)),
+    ],
+    ids=["T_before_all_times", "times_at_or_past_T"],
+)
+def test_no_energy_time_before_T(monkeypatch, changes):
+    # with no energy time in (0, T) the gate is the audit at H0 and T alone
+    s = replace(load_config(SCENARIO_DIR / "reference.cfg"), **changes)
+    calls = count_energy_calls(monkeypatch)
+    ledger_calls = []
+    monkeypatch.setattr(runner, "energy_ledger", lambda *a: ledger_calls.append(a))
+    res = run_scenario(s, None)
+    assert res.ok, res.failures
+    assert calls == [0.0, s.t_final]
+    assert ledger_calls == []
+    assert list(res.energies) == [0.0, s.t_final]
 
 
 class TestDistance:

@@ -401,6 +401,29 @@ class TestCli:
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: must be at least 2, got {value}$"):
             parse_config(with_line(LINEAR_SHORT, line))
 
+    def test_run_oracle_time_past_horizon_exit_two(self, tmp_path):
+        # the oracle would compare past the trajectory's horizon
+        text = (SHIPPED / "reference.cfg").read_text()
+        for line in ("ode.t_final = 5", "snapshot.times = 5", "oracle.time = 8"):
+            text = with_line(text, line)
+        parse_config(text)  # unused while the oracle is off
+        cfg = tmp_path / "late.cfg"
+        cfg.write_text(with_line(text, "oracle.enabled = true"))
+        proc = run_cli("run", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr + proc.stdout
+        assert "Traceback" not in proc.stderr
+        assert "config error: oracle.time: 8.0 is past ode.t_final = 5.0" in proc.stderr
+
+    def test_run_oracle_time_past_override_exit_two(self, tmp_path):
+        # --T and --oracle come after parsing; the overridden scenario is checked again
+        cfg = tmp_path / "late.cfg"
+        cfg.write_text(with_line((SHIPPED / "reference.cfg").read_text(), "oracle.time = 8"))
+        proc = run_cli("run", str(cfg), "--out", str(tmp_path / "out"), "--oracle", "--T", "5")
+        assert proc.returncode == 2, proc.stderr + proc.stdout
+        assert "Traceback" not in proc.stderr
+        assert "config error: oracle.time: 8.0 is past ode.t_final = 5.0" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag", [("--T", "inf"), ("--T", "nan"), ("--tol", "nan")])
     def test_run_non_finite_override_exit_two(self, tmp_path, flag):
         cfg = tmp_path / "demo.cfg"
